@@ -90,12 +90,25 @@ EventStream RunPipelineOnTrace(const RecordedTrace& trace,
 }
 
 EventStream RunPipelineOnTrace(const RecordedTrace& trace,
-                               const PipelineOptions& options) {
+                               const PipelineOptions& options,
+                               std::string* handover_violation) {
   SpirePipeline pipeline(&trace.registry, options);
   EventStream out;
   for (std::size_t epoch = 0; epoch < trace.epochs.size(); ++epoch) {
     pipeline.ProcessEpoch(static_cast<Epoch>(epoch), trace.epochs[epoch],
                           &out);
+    if (handover_violation == nullptr || !handover_violation->empty()) {
+      continue;
+    }
+    const std::vector<ObjectId> pending =
+        pipeline.compressor().PendingHandovers();
+    if (!pending.empty()) {
+      std::ostringstream detail;
+      detail << "after epoch " << epoch << ", " << pending.size()
+             << " explicit stay(s) still match their chain root, first: "
+             << pending.front();
+      *handover_violation = detail.str();
+    }
   }
   pipeline.Finish(static_cast<Epoch>(trace.epochs.size()), &out);
   return out;
@@ -711,8 +724,15 @@ std::optional<OracleFailure> DifferentialChecker::Check(
     return OracleFailure{"generate", trace.status().ToString()};
   }
   EventStream level1 = RunPipelineOnTrace(trace.value(), CompressionLevel::kLevel1);
-  EventStream level2 = RunPipelineOnTrace(trace.value(), CompressionLevel::kLevel2);
+  PipelineOptions level2_options;
+  level2_options.level = CompressionLevel::kLevel2;
+  std::string handover_violation;
+  EventStream level2 =
+      RunPipelineOnTrace(trace.value(), level2_options, &handover_violation);
   if (stats != nullptr) stats->traces_run += 2;
+  if (!handover_violation.empty()) {
+    return OracleFailure{"handover_invariant", handover_violation};
+  }
 
   if (auto failure = CheckWellFormed(level1, level2)) return failure;
   if (auto failure = CheckLevel2Recovery(level1, level2)) return failure;

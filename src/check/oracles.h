@@ -49,6 +49,10 @@
 //                          counters reconcile (hits + misses == lookups,
 //                          decodes <= misses).
 //
+// The default level-2 run also asserts the handover invariant after every
+// epoch: Compressor::PendingHandovers() is empty (failure name
+// `handover_invariant`).
+//
 // A failure names the oracle and carries a human-readable diff/detail, so a
 // minimized repro file is actionable on its own.
 #pragma once
@@ -85,9 +89,13 @@ std::string DiffStreams(const EventStream& a, const EventStream& b,
 EventStream RunPipelineOnTrace(const RecordedTrace& trace,
                                CompressionLevel level);
 
-/// Same, with full control over the pipeline configuration.
+/// Same, with full control over the pipeline configuration. When
+/// `handover_violation` is non-null, the compressor's handover invariant is
+/// checked after every epoch and the first violation (epoch and pending
+/// objects) is described there; it stays empty when the invariant held.
 EventStream RunPipelineOnTrace(const RecordedTrace& trace,
-                               const PipelineOptions& options);
+                               const PipelineOptions& options,
+                               std::string* handover_violation = nullptr);
 
 /// Checker configuration.
 struct CheckOptions {

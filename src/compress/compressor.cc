@@ -28,7 +28,8 @@ const Instruments* GetInstruments() {
 
 }  // namespace
 
-Compressor::Compressor(CompressorOptions options) : options_(options) {}
+Compressor::Compressor(CompressorOptions options, bool hands_over)
+    : options_(options), hands_over_(hands_over) {}
 
 void Compressor::Report(const ObjectStateEstimate& state, Epoch epoch,
                         EventStream* out) {
@@ -36,6 +37,7 @@ void Compressor::Report(const ObjectStateEstimate& state, Epoch epoch,
     instruments->reports->Add(1);
   }
   Tracked& tracked = tracked_[state.object];
+  Touch(state.object, tracked);
   const LocationId before = EffectiveLocation(tracked);
   EmitContainmentChange(tracked, state, epoch, out);
   EmitLocationChange(tracked, state, epoch, out);
@@ -70,6 +72,7 @@ void Compressor::PropagateLocation(ObjectId parent, LocationId location,
     // A child inferred missing stays missing until it is sighted again; the
     // decompressor skips missing-marked children the same way.
     if (child_tracked.missing_reported) continue;
+    Touch(child, child_tracked);
     if (SuppressContainedLocation(child_tracked)) {
       if (location == kUnknownLocation) {
         // A container departing with no destination only takes *derived*
@@ -325,6 +328,14 @@ void Compressor::Retire(ObjectId object, Epoch epoch, EventStream* out) {
   ReleaseChildren(object, epoch, out);
   CloseContainment(object, it->second, epoch, out);
   CloseLocation(object, it->second, epoch, out);
+  // A retired object leaves no entry to test; its contents were released
+  // (and touched) above. Swap its touched_ entry out before the erase.
+  if (const std::uint32_t slot = it->second.touched_slot;
+      slot != kNotTouched) {
+    touched_[slot] = touched_.back();
+    touched_[slot].tracked->touched_slot = slot;
+    touched_.pop_back();
+  }
   tracked_.erase(it);
 }
 
@@ -340,6 +351,7 @@ void Compressor::ReleaseChildren(ObjectId object, Epoch epoch,
     auto tracked_it = tracked_.find(child);
     if (tracked_it == tracked_.end()) continue;
     Tracked& child_tracked = tracked_it->second;
+    Touch(child, child_tracked);
     const bool was_suppressed = SuppressContainedLocation(child_tracked);
     CloseContainment(child, child_tracked, epoch, out);
     // A suppressed child's stay was derived from this container; once the
@@ -402,13 +414,22 @@ void Compressor::CancelEpochChurn(Epoch epoch, EventStream* out,
   // object's later location updates can be suppressed entirely. Emitted
   // after the churn pass on purpose: the close must survive into the
   // stream even when the stay opened this same epoch.
-  std::vector<ObjectId> handover;
-  for (const auto& [object, tracked] : tracked_) {
-    if (tracked.open_location == kUnknownLocation) continue;
-    if (!SuppressContainedLocation(tracked)) continue;
-    if (DerivedRootLocation(tracked) != tracked.open_location) continue;
-    handover.push_back(object);
+  //
+  // No object satisfies HandsOver after a handover, and the predicate reads
+  // only the object's own entry and the containment links and root stay of
+  // its chain. So only a touched object, or one under a touched object
+  // whose link or stay changed, can satisfy it now: close touched_ over
+  // children_ from the chain-changed entries, then test each member once.
+  const std::size_t touched_before_closure = touched_.size();
+  for (std::size_t i = 0; i < touched_before_closure; ++i) {
+    if (ChainChanged(*touched_[i].tracked)) TouchContents(touched_[i].object);
   }
+  std::vector<ObjectId> handover;
+  for (const TouchedEntry& entry : touched_) {
+    entry.tracked->touched_slot = kNotTouched;
+    if (HandsOver(*entry.tracked)) handover.push_back(entry.object);
+  }
+  touched_.clear();
   std::sort(handover.begin(), handover.end());
   for (ObjectId object : handover) {
     Tracked& tracked = tracked_.at(object);
@@ -419,6 +440,29 @@ void Compressor::CancelEpochChurn(Epoch epoch, EventStream* out,
     tracked.derived_open = true;
     tracked.location_start = start;  // The derived stay keeps the interval.
   }
+}
+
+void Compressor::TouchContents(ObjectId object) {
+  auto children_it = children_.find(object);
+  if (children_it == children_.end()) return;
+  for (ObjectId child : children_it->second) {
+    Tracked& tracked = tracked_.at(child);
+    // Only an entry touched before the closure can have changed; an entry
+    // the closure touches records its current state.
+    const bool walks_itself =
+        tracked.touched_slot != kNotTouched && ChainChanged(tracked);
+    Touch(child, tracked);
+    if (!walks_itself) TouchContents(child);
+  }
+}
+
+std::vector<ObjectId> Compressor::PendingHandovers() const {
+  std::vector<ObjectId> pending;
+  for (const auto& [object, tracked] : tracked_) {
+    if (HandsOver(tracked)) pending.push_back(object);
+  }
+  std::sort(pending.begin(), pending.end());
+  return pending;
 }
 
 void Compressor::Finish(Epoch epoch, EventStream* out) {

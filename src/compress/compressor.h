@@ -15,8 +15,10 @@
 // Both levels are lossless with respect to the interpreted state stream.
 #pragma once
 
+#include <cstdint>
 #include <set>
 #include <unordered_map>
+#include <vector>
 
 #include "compress/event.h"
 #include "common/types.h"
@@ -66,7 +68,6 @@ class CompressorObserver {
 /// emitted (level 1) or suppressed (level 2).
 class Compressor {
  public:
-  explicit Compressor(CompressorOptions options = {});
   virtual ~Compressor() = default;
 
   /// Installs (or clears, with nullptr) the suppression observer. Not owned.
@@ -109,10 +110,24 @@ class Compressor {
   /// per epoch after all Report/Retire calls.
   void CancelEpochChurn(Epoch epoch, EventStream* out, std::size_t first);
 
+  /// Full-scan check of the handover invariant, for tests and the check
+  /// harness only (the hot path never calls it): the objects whose explicit
+  /// stay the end-of-epoch handover would close right now, ascending. Empty
+  /// after every CancelEpochChurn.
+  std::vector<ObjectId> PendingHandovers() const;
+
   /// Number of objects currently tracked.
   std::size_t tracked_objects() const { return tracked_.size(); }
 
+  /// Entries on the touched list awaiting the next handover (always 0 at
+  /// level 1, which never hands over).
+  std::size_t touched_objects() const { return touched_.size(); }
+
  protected:
+  /// `hands_over` is true when the level hook can suppress (level 2): only
+  /// then are touched objects recorded for the end-of-epoch handover.
+  Compressor(CompressorOptions options, bool hands_over);
+
   /// Per-object bookkeeping.
   struct Tracked {
     /// Open location event (kUnknownLocation = none open).
@@ -130,6 +145,22 @@ class Compressor {
     /// StartLocation). While set, location_start tracks the derived stay's
     /// start. Mutually exclusive with an open explicit stay.
     bool derived_open = false;
+    /// Index of this object's touched_ entry; kNotTouched when off the list.
+    std::uint32_t touched_slot = kNotTouched;
+    /// open_container / open_location as the last handover left them,
+    /// recorded when the object is first touched after it. Valid while
+    /// touched_slot is set.
+    ObjectId handover_container = kNoObject;
+    LocationId handover_location = kUnknownLocation;
+  };
+  static constexpr std::uint32_t kNotTouched = ~std::uint32_t{0};
+
+  /// An entry of touched_. The pointer stays valid: unordered_map never
+  /// moves its elements, and Retire takes an entry off the list before
+  /// erasing it.
+  struct TouchedEntry {
+    ObjectId object;
+    Tracked* tracked;
   };
 
   /// Level hook: true when location updates of this (contained) object must
@@ -165,8 +196,35 @@ class Compressor {
   /// output and decompressed level-2 output stay event-equivalent.
   void PropagateLocation(ObjectId parent, LocationId location, Epoch epoch,
                          EventStream* out);
+  /// Records that this object's entry is about to change, for the next
+  /// handover. Call before the first mutation.
+  void Touch(ObjectId object, Tracked& tracked) {
+    if (!hands_over_ || tracked.touched_slot != kNotTouched) return;
+    tracked.touched_slot = static_cast<std::uint32_t>(touched_.size());
+    tracked.handover_container = tracked.open_container;
+    tracked.handover_location = tracked.open_location;
+    touched_.push_back(TouchedEntry{object, &tracked});
+  }
+  /// True when a touched object's containment link or open stay differs
+  /// from what the last handover left: the only changes that can alter the
+  /// handover predicate of its contents.
+  static bool ChainChanged(const Tracked& tracked) {
+    return tracked.open_container != tracked.handover_container ||
+           tracked.open_location != tracked.handover_location;
+  }
+  /// Touches the transitive contents of a chain-changed object, except the
+  /// subtrees of chain-changed contents, which their own walk covers.
+  void TouchContents(ObjectId object);
+  /// The handover predicate: an open explicit stay inside an open
+  /// containment whose chain root's stay is at the same location.
+  bool HandsOver(const Tracked& tracked) const {
+    return tracked.open_location != kUnknownLocation &&
+           SuppressContainedLocation(tracked) &&
+           DerivedRootLocation(tracked) == tracked.open_location;
+  }
 
   CompressorOptions options_;
+  const bool hands_over_;
   CompressorObserver* observer_ = nullptr;
   std::unordered_map<ObjectId, Tracked> tracked_;
   /// Objects whose stay was suppress-closed at containment entry during the
@@ -176,6 +234,12 @@ class Compressor {
   /// Children of each open containment, kept sorted for deterministic
   /// propagation order.
   std::unordered_map<ObjectId, std::set<ObjectId>> children_;
+  /// Objects whose entry changed since the last handover (level 2 only),
+  /// each once. No other object can newly satisfy HandsOver: the predicate
+  /// reads only the object's own entry and its chain's, so the handover
+  /// tests just the closure of this list over children_. Bounded by the
+  /// tracked objects.
+  std::vector<TouchedEntry> touched_;
 };
 
 /// Level-1 range compression (Section V-B): every state change is emitted;
@@ -183,7 +247,8 @@ class Compressor {
 /// are independent and individually queriable.
 class RangeCompressor final : public Compressor {
  public:
-  using Compressor::Compressor;
+  explicit RangeCompressor(CompressorOptions options = {})
+      : Compressor(options, /*hands_over=*/false) {}
 
  protected:
   bool SuppressContainedLocation(const Tracked&) const override {
@@ -197,7 +262,8 @@ class RangeCompressor final : public Compressor {
 /// resume immediately.
 class ContainmentCompressor final : public Compressor {
  public:
-  using Compressor::Compressor;
+  explicit ContainmentCompressor(CompressorOptions options = {})
+      : Compressor(options, /*hands_over=*/true) {}
 
  protected:
   bool SuppressContainedLocation(const Tracked& tracked) const override {

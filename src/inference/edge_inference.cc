@@ -4,27 +4,34 @@
 
 namespace spire {
 
-void EdgeInferencer::BeginPass() {
-  probabilities_.assign(graph_->EdgeCapacity(), 0.0);
+void EdgeInferencer::BuildZipfTables() const {
+  zipf_.resize(ShiftRegister::kMaxCapacity);
+  zipf_prefix_.assign(ShiftRegister::kMaxCapacity + 1, 0.0);
+  for (int i = 0; i < ShiftRegister::kMaxCapacity; ++i) {
+    // The paper's Eq. 1 indexes 1/i^alpha from i = 0; we use (i+1)^alpha to
+    // keep the most recent term finite (see DESIGN.md).
+    zipf_[i] = 1.0 / std::pow(static_cast<double>(i + 1), params_->alpha);
+    zipf_prefix_[i + 1] = zipf_prefix_[i] + zipf_[i];
+  }
+  zipf_alpha_ = params_->alpha;
 }
 
 double EdgeInferencer::Weight(const Edge& edge) const {
   const ShiftRegister& bits = edge.recent_colocations;
   const int n = bits.size();
   if (n == 0) return 0.0;
-  double numerator = 0.0;
-  double denominator = 0.0;
-  for (int i = 0; i < n; ++i) {
-    // The paper's Eq. 1 indexes 1/i^alpha from i = 0; we use (i+1)^alpha to
-    // keep the most recent term finite (see DESIGN.md).
-    double zipf = params_->alpha == 0.0
-                      ? 1.0
-                      : 1.0 / std::pow(static_cast<double>(i + 1),
-                                       params_->alpha);
-    if (bits.Get(i)) numerator += zipf;
-    denominator += zipf;
+  if (params_->alpha == 0.0) {
+    return static_cast<double>(bits.PopCount()) / static_cast<double>(n);
   }
-  return numerator / denominator;
+  if (zipf_alpha_ != params_->alpha) BuildZipfTables();
+  // Set bits in ascending index order: the same additions, in the same
+  // order, as summing term by term over the whole window.
+  double numerator = 0.0;
+  for (std::uint64_t window = bits.Window(); window != 0;
+       window &= window - 1) {
+    numerator += zipf_[__builtin_ctzll(window)];
+  }
+  return numerator / zipf_prefix_[n];
 }
 
 double EdgeInferencer::EffectiveBeta(const Node& child) const {
@@ -57,8 +64,12 @@ EdgeInferenceResult EdgeInferencer::InferAt(const Node& node,
     const Edge& edge = graph_->edge(id);
     const double confidence = Confidence(edge, node);
     // Stash the unnormalized confidence; normalized below.
-    if (id >= probabilities_.size()) probabilities_.resize(id + 1, 0.0);
+    if (id >= probabilities_.size()) {
+      probabilities_.resize(id + 1, 0.0);
+      stamps_.resize(id + 1, 0);
+    }
     probabilities_[id] = confidence;
+    stamps_[id] = pass_;
     total += confidence;
     if (confidence > best_confidence) {
       second_confidence = best_confidence;

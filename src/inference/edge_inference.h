@@ -7,6 +7,7 @@
 // edge's *confidence*, which also drives graph pruning (Expt 6).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/graph.h"
@@ -35,7 +36,9 @@ class EdgeInferencer {
 
   /// Eq. 1: the normalized Zipf-weighted co-location weight of an edge.
   /// History is normalized over the observations actually held (at most S),
-  /// so a fresh edge with one positive instance has weight 1.
+  /// so a fresh edge with one positive instance has weight 1. O(1) at
+  /// alpha = 0 (popcount / size, exact: sums of 1.0 are exact in a double);
+  /// otherwise one table read per set bit.
   double Weight(const Edge& edge) const;
 
   /// Eq. 2 numerator: (1-beta) * m(e) + beta * w(e), before normalization.
@@ -53,20 +56,37 @@ class EdgeInferencer {
   /// The probability assigned to an edge by the last InferAt() on its child
   /// node; 0 for edges not yet visited this pass.
   double ProbabilityOf(EdgeId edge) const {
-    return edge < probabilities_.size() ? probabilities_[edge] : 0.0;
+    return edge < probabilities_.size() && stamps_[edge] == pass_
+               ? probabilities_[edge]
+               : 0.0;
   }
 
-  /// Resets the probability arena for a new inference pass.
-  void BeginPass();
+  /// Starts a new inference pass: O(1), entries written in earlier passes
+  /// read as 0 because their stamp is stale.
+  void BeginPass() { ++pass_; }
 
   /// The effective beta for a node (adaptive heuristic of Expt 1: the
   /// fraction of conflicting observations since the last confirmation).
   double EffectiveBeta(const Node& child) const;
 
  private:
+  /// Rebuilds the Zipf tables for params_->alpha (alpha > 0 only).
+  void BuildZipfTables() const;
+
   const Graph* graph_;
   const InferenceParams* params_;
+  /// Edge probability arena indexed by EdgeId; an entry is valid only while
+  /// its stamp equals the current pass.
   std::vector<double> probabilities_;
+  std::vector<std::uint64_t> stamps_;
+  std::uint64_t pass_ = 1;
+  /// zipf_[i] = 1 / (i+1)^alpha and zipf_prefix_[n] = zipf_[0] + ... +
+  /// zipf_[n-1], summed in index order, for alpha = zipf_alpha_. Built on
+  /// the first call with a nonzero alpha and rebuilt whenever the shared
+  /// params change alpha (0 = not built; alpha = 0 never reads them).
+  mutable double zipf_alpha_ = 0.0;
+  mutable std::vector<double> zipf_;
+  mutable std::vector<double> zipf_prefix_;
 };
 
 }  // namespace spire

@@ -131,6 +131,7 @@ class SpirePipeline {
 
   const Graph& graph() const { return graph_; }
   Graph& mutable_graph() { return graph_; }
+  const Compressor& compressor() const { return *compressor_; }
   const PipelineOptions& options() const { return options_; }
 
   /// The deployment this pipeline interprets. The serving layer (src/serve)

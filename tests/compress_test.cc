@@ -273,6 +273,67 @@ TEST(ContainmentCompressorTest, PaperFigure8Sequence) {
   EXPECT_EQ(out[t3 + 1], Event::StartLocation(c2, 4, 4));
 }
 
+TEST(ContainmentCompressorTest, RootMoveHandsOverUntouchedGrandchild) {
+  // pallet -> case -> item. The item's stay is explicit because it
+  // disagrees with the chain root; the case is missing, so the pallet's
+  // move does not propagate down to the item. In the last epoch the case is
+  // reported again without any change and only the pallet's stay changes,
+  // yet the item's explicit stay now matches the root and must be handed
+  // over.
+  ContainmentCompressor compressor;
+  EventStream out;
+  compressor.Report(At(kPallet, 1), 1, &out);
+  compressor.Report(At(kCase, 1, kPallet), 1, &out);
+  compressor.Report(At(kItem, 2, kCase), 1, &out);
+  compressor.CancelEpochChurn(1, &out, 0);
+  EXPECT_TRUE(compressor.PendingHandovers().empty());
+
+  std::size_t first = out.size();
+  ObjectStateEstimate case_missing = Away(kCase);
+  case_missing.container = kPallet;
+  compressor.Report(case_missing, 2, &out);
+  compressor.CancelEpochChurn(2, &out, first);
+  EXPECT_TRUE(compressor.PendingHandovers().empty());
+
+  first = out.size();
+  compressor.Report(case_missing, 3, &out);
+  compressor.Report(At(kPallet, 2), 3, &out);
+  EXPECT_EQ(compressor.PendingHandovers(), std::vector<ObjectId>{kItem});
+  compressor.CancelEpochChurn(3, &out, first);
+  EXPECT_TRUE(compressor.PendingHandovers().empty());
+  EXPECT_EQ(compressor.touched_objects(), 0u);
+  ASSERT_EQ(out.size(), first + 3);
+  EXPECT_EQ(out[first + 0], Event::EndLocation(kPallet, 1, 1, 3));
+  EXPECT_EQ(out[first + 1], Event::StartLocation(kPallet, 2, 3));
+  EXPECT_EQ(out[first + 2], Event::EndLocation(kItem, 2, 1, 3));
+}
+
+TEST(ContainmentCompressorTest, TouchedListIsBoundedAndConsumed) {
+  // Level 1 never hands over, so it records nothing, however many epochs
+  // pass without a CancelEpochChurn (the ground-truth recorder's usage).
+  RangeCompressor range;
+  // Level 2 records each touched object once per handover, even when an
+  // object is retired and reported again in between.
+  ContainmentCompressor containment;
+  EventStream out;
+  for (Epoch epoch = 1; epoch <= 200; ++epoch) {
+    const LocationId location = static_cast<LocationId>(epoch % 3);
+    for (Compressor* compressor :
+         std::initializer_list<Compressor*>{&range, &containment}) {
+      compressor->Report(At(kPallet, location), epoch, &out);
+      compressor->Report(At(kCase, location, kPallet), epoch, &out);
+      compressor->Report(At(kItem, location, kCase), epoch, &out);
+      compressor->Retire(kItem, epoch, &out);
+      compressor->Report(At(kItem, location, kCase), epoch, &out);
+    }
+    EXPECT_EQ(range.touched_objects(), 0u);
+    EXPECT_LE(containment.touched_objects(), containment.tracked_objects());
+  }
+  containment.CancelEpochChurn(201, &out, out.size());
+  EXPECT_EQ(containment.touched_objects(), 0u);
+  EXPECT_TRUE(containment.PendingHandovers().empty());
+}
+
 TEST(ContainmentCompressorTest, ContainmentStartClosesChildLocation) {
   ContainmentCompressor compressor;
   EventStream out;

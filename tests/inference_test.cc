@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 
 #include "common/epc.h"
 #include "graph/graph.h"
@@ -80,6 +81,75 @@ TEST_F(EdgeInferenceTest, PositiveAlphaFavorsRecentBits) {
   params_.alpha = 0.0;
   EXPECT_DOUBLE_EQ(inferencer_.Weight(graph_.edge(recent)),
                    inferencer_.Weight(graph_.edge(old)));
+}
+
+/// Eq. 1 term by term, the way Weight() computed it before the popcount
+/// and Zipf-table forms: every index, in order.
+double PerBitWeight(const ShiftRegister& bits, double alpha) {
+  const int n = bits.size();
+  if (n == 0) return 0.0;
+  double numerator = 0.0;
+  double denominator = 0.0;
+  for (int i = 0; i < n; ++i) {
+    const double zipf =
+        alpha == 0.0 ? 1.0 : 1.0 / std::pow(static_cast<double>(i + 1), alpha);
+    if (bits.Get(i)) numerator += zipf;
+    denominator += zipf;
+  }
+  return numerator / denominator;
+}
+
+TEST_F(EdgeInferenceTest, WeightIsBitExactAgainstPerBitSummation) {
+  std::mt19937_64 rng(14);
+  for (double alpha : {0.0, 0.5, 1.0, 2.0}) {
+    params_.alpha = alpha;
+    for (int trial = 0; trial < 200; ++trial) {
+      Edge edge;
+      edge.recent_colocations = ShiftRegister(ShiftRegister::kMaxCapacity);
+      const int n = 1 + static_cast<int>(rng() % ShiftRegister::kMaxCapacity);
+      // Push more bits than the window holds now and then, so bits that
+      // shifted past the capacity must not leak into the weight.
+      const int pushes = n + (trial % 3 == 0 ? 7 : 0);
+      const std::uint64_t pattern = rng();
+      for (int i = 0; i < pushes; ++i) {
+        edge.recent_colocations.Push((pattern >> (i % 64)) & 1u);
+      }
+      // Exact equality on purpose: the output bytes depend on every bit.
+      EXPECT_EQ(inferencer_.Weight(edge),
+                PerBitWeight(edge.recent_colocations, alpha))
+          << "alpha " << alpha << " window " << edge.recent_colocations.size();
+    }
+  }
+}
+
+TEST_F(EdgeInferenceTest, AlphaChangeBetweenCallsRebuildsZipfTable) {
+  EdgeId e = graph_.AddEdge(kCaseA, kItem);
+  PushHistory(graph_.edge(e), {true, true, false, true, false});
+  params_.alpha = 1.0;
+  const double at_one = inferencer_.Weight(graph_.edge(e));
+  EXPECT_EQ(at_one, PerBitWeight(graph_.edge(e).recent_colocations, 1.0));
+  params_.alpha = 2.0;
+  const double at_two = inferencer_.Weight(graph_.edge(e));
+  EXPECT_EQ(at_two, PerBitWeight(graph_.edge(e).recent_colocations, 2.0));
+  EXPECT_NE(at_one, at_two);
+}
+
+TEST_F(EdgeInferenceTest, ProbabilityOfForgetsEdgesOfEarlierPasses) {
+  EdgeId e = graph_.AddEdge(kCaseA, kItem);
+  EdgeId other = graph_.AddEdge(kCaseB, kPallet);
+  PushHistory(graph_.edge(e), {true, true});
+  PushHistory(graph_.edge(other), {true});
+  inferencer_.BeginPass();
+  inferencer_.InferAt(*graph_.FindNode(kItem));
+  EXPECT_EQ(inferencer_.ProbabilityOf(e), 1.0);
+  // Pass N+1 writes only the other edge: e's pass-N entry must read as 0.
+  inferencer_.BeginPass();
+  EXPECT_EQ(inferencer_.ProbabilityOf(e), 0.0);
+  inferencer_.InferAt(*graph_.FindNode(kPallet));
+  EXPECT_EQ(inferencer_.ProbabilityOf(other), 1.0);
+  EXPECT_EQ(inferencer_.ProbabilityOf(e), 0.0);
+  // Edge ids past the arena read as 0 too.
+  EXPECT_EQ(inferencer_.ProbabilityOf(other + 100), 0.0);
 }
 
 TEST_F(EdgeInferenceTest, ConfidenceBlendsConfirmationAndHistory) {
@@ -414,6 +484,28 @@ TEST_F(IterativeTest, ChainPropagationAcrossWaves) {
   InferenceResult result = inference_.RunComplete(2);
   EXPECT_EQ(result.estimates.at(kCaseA).location, 5);
   EXPECT_EQ(result.estimates.at(kPallet).location, 5);
+}
+
+TEST_F(IterativeTest, MutableAlphaTakesEffectOnTheNextPass) {
+  InferenceParams params;
+  params.prune_threshold = 0.0;  // Keep both weak candidates alive.
+  IterativeInference inference(&graph_, params);
+  graph_.BeginEpoch(1);
+  graph_.ColorNode(graph_.GetOrCreateNode(kItem), 5);
+  EdgeId recent = graph_.AddEdge(kCaseA, kItem);
+  EdgeId old = graph_.AddEdge(kCaseB, kItem);
+  // Same popcount; only `recent` co-located in the newest observation.
+  PushHistory(graph_.edge(recent), {false, false, true});
+  PushHistory(graph_.edge(old), {true, false, false});
+  // alpha = 0: the two histories weigh the same.
+  EXPECT_EQ(inference.RunComplete(1).estimates.at(kItem).container_prob, 0.5);
+
+  inference.mutable_params().alpha = 2.0;
+  graph_.BeginEpoch(2);
+  graph_.ColorNode(*graph_.FindNode(kItem), 5);
+  const ObjectEstimate estimate = inference.RunComplete(2).estimates.at(kItem);
+  EXPECT_EQ(estimate.container, kCaseA);
+  EXPECT_GT(estimate.container_prob, 0.5);
 }
 
 TEST_F(IterativeTest, IdentifiesMissingObject) {

@@ -5,7 +5,9 @@ Every bench binary writes a flat {"key": number, ...} report via
 BenchReport (bench/bench_util.h). This script diffs a fresh run against
 the baseline committed at the repo root and flags regressions:
 
-  * keys matching *epochs_per_sec* or *speedup* are higher-is-better;
+  * keys matching *epochs_per_sec*, *speedup* or *qps* (queries per
+    second, e.g. BENCH_query.json's warm_qps_N_threads) are
+    higher-is-better;
   * keys matching *_s_per_epoch, *_seconds, or *_over_disabled (the
     expt11 observability overhead ratios) are lower-is-better;
   * everything else (counts, peak_rss_bytes, hardware_threads) is
@@ -25,7 +27,7 @@ import argparse
 import json
 import sys
 
-HIGHER_BETTER = ("epochs_per_sec", "speedup")
+HIGHER_BETTER = ("epochs_per_sec", "speedup", "qps")
 LOWER_BETTER = ("_s_per_epoch", "_seconds", "_us", "_over_disabled")
 IGNORED = ("peak_rss_bytes", "hardware_threads", "bench")
 
