@@ -6,9 +6,11 @@
 // Loopback runs (node threads in-process) carry the handoff-latency
 // histogram — in spawn mode the nodes' obs registries live in the child
 // processes, invisible here — and one forked multi-process run measures
-// the cross-process wire path. Results land in BENCH_dist.json. Ideal
-// scaling is min(nodes, sites, hardware threads); on a 1-thread machine
-// expect ~1.0x, the byte-identity columns are the point.
+// the cross-process wire path. A second leg runs the `spire_cli serve`
+// shape: four independent warehouse sites, no hops, loopback at 1, 2 and 4
+// nodes (keys `serve.*`). Results land in BENCH_dist.json. Ideal scaling
+// is min(nodes, sites, hardware threads); on a 1-thread machine expect
+// ~1.0x, the byte-identity columns are the point.
 //
 //   ./expt14_dist [sites=3] [duration=600] [full=true] [key=value ...]
 #include <chrono>
@@ -22,6 +24,8 @@
 #include "dist/runner.h"
 #include "eval/table.h"
 #include "obs/registry.h"
+#include "serve/workload.h"
+#include "sim/simulator.h"
 #include "sim/transfer.h"
 
 using namespace spire;
@@ -33,6 +37,96 @@ double Seconds(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+/// Simulates one independent warehouse site.
+serve::SiteWorkload SimulateSite(SimConfig config, int site) {
+  config.seed = config.seed + static_cast<std::uint64_t>(site);
+  auto sim = WarehouseSimulator::Create(config);
+  if (!sim.ok()) {
+    std::fprintf(stderr, "simulator: %s\n", sim.status().ToString().c_str());
+    std::exit(1);
+  }
+  WarehouseSimulator& s = *sim.value();
+  serve::SiteWorkload workload;
+  workload.name = "site-" + std::to_string(site);
+  while (!s.Done()) {
+    EpochReadings readings = s.Step();
+    const auto epoch = static_cast<std::size_t>(s.current_epoch());
+    if (epoch >= workload.epochs.size()) workload.epochs.resize(epoch + 1);
+    workload.epochs[epoch] = std::move(readings);
+  }
+  workload.registry = s.registry();
+  return workload;
+}
+
+/// The no-hop leg: four independent sites, normalized as `spire_cli serve`
+/// does, run loopback at 1, 2 and 4 nodes. Fails unless every run is
+/// byte-identical to the serial reference.
+bool RunServeLeg(const Config& args, bool full, BenchReport* report) {
+  constexpr int kSites = 4;
+  SimConfig sim_config = SweepConfig(full);
+  sim_config.duration_epochs = full ? 5400 : 1200;
+  auto overridden = SimConfig::FromConfig(args, sim_config);
+  if (overridden.ok()) sim_config = overridden.value();
+
+  serve::Workload workload;
+  for (int site = 0; site < kSites; ++site) {
+    workload.sites.push_back(SimulateSite(sim_config, site));
+  }
+  Status status = serve::NormalizeWorkload(&workload);
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s\n", status.ToString().c_str());
+    return false;
+  }
+  std::printf("\nserve shape: %d independent site(s), %lld epochs, no hops\n",
+              kSites, static_cast<long long>(workload.num_epochs));
+
+  const auto ref_start = std::chrono::steady_clock::now();
+  const EventStream reference =
+      dist::RunDistReference(workload, {}, PipelineOptions{});
+  const double ref_seconds = Seconds(ref_start);
+  const double epochs = static_cast<double>(workload.num_epochs);
+  const double ref_eps = ref_seconds > 0.0 ? epochs / ref_seconds : 0.0;
+  report->Add("serve.sites", kSites);
+  report->Add("serve.epochs", epochs);
+  report->Add("serve.reference_epochs_per_sec", ref_eps);
+
+  TextTable table({"config", "wall (s)", "epochs/s", "events", "identical"});
+  table.AddRow({"serial reference", TextTable::Num(ref_seconds, 3),
+                TextTable::Num(ref_eps, 1), std::to_string(reference.size()),
+                "-"});
+  for (int nodes : {1, 2, 4}) {
+    dist::DistOptions options;
+    options.num_nodes = nodes;
+    const auto start = std::chrono::steady_clock::now();
+    dist::DistResult result = dist::RunDistLoopback(workload, {}, options);
+    const double wall = Seconds(start);
+    if (!result.status.ok()) {
+      std::fprintf(stderr, "serve loopback(%d): %s\n", nodes,
+                   result.status.ToString().c_str());
+      return false;
+    }
+    const double eps = wall > 0.0 ? epochs / wall : 0.0;
+    const bool identical = result.events == reference;
+    table.AddRow({std::to_string(nodes) + " node(s) no-hop loopback",
+                  TextTable::Num(wall, 3), TextTable::Num(eps, 1),
+                  std::to_string(result.events.size()),
+                  identical ? "yes" : "NO"});
+    const std::string prefix = "serve.nodes_" + std::to_string(nodes) + ".";
+    report->Add(prefix + "wall_seconds", wall);
+    report->Add(prefix + "epochs_per_sec", eps);
+    report->Add(prefix + "identical_to_reference", identical ? 1.0 : 0.0);
+    if (!identical) {
+      std::fprintf(stderr,
+                   "serve loopback(%d nodes) diverged from the serial "
+                   "reference\n",
+                   nodes);
+      return false;
+    }
+  }
+  table.Print();
+  return true;
 }
 
 }  // namespace
@@ -87,7 +181,6 @@ int main(int argc, char** argv) {
   report.Add("sites", sim_config.transfer_sites);
   report.Add("epochs", static_cast<double>(workload.value().num_epochs));
   report.Add("transfer_hops", static_cast<double>(hops.size()));
-  report.Add("hardware_threads", std::thread::hardware_concurrency());
   report.Add("reference_epochs_per_sec", ref_eps);
 
   TextTable table({"config", "wall (s)", "epochs/s", "speedup vs 1 node",
@@ -197,6 +290,7 @@ int main(int argc, char** argv) {
     }
   }
   table.Print();
+  if (!RunServeLeg(args, full, &report)) return 1;
 
   Status status = report.Write();
   if (!status.ok()) {

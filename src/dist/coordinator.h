@@ -4,9 +4,9 @@
 // feeds every node one EpochWork frame per epoch (flow-controlled by the
 // nodes' Barrier frames), routes captured Handoff frames from the
 // departure node to the arrival node *before* that node's arrival epoch,
-// and merges the returned SiteBatch frames with the same EventMerger the
-// in-process serving layer uses — so the merged stream is byte-identical
-// to a serial per-site run for any node count and transfer schedule.
+// and merges the returned SiteBatch frames with serve::EventMerger — so the
+// merged stream is byte-identical to a serial per-site run for any node
+// count and transfer schedule.
 //
 // Deadlock freedom: a node emits all frames of epoch d (batches, captured
 // handoffs, barrier) before touching epoch d+1, hops depart strictly

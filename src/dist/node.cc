@@ -36,7 +36,7 @@ std::uint64_t NowMicros() {
 }
 
 /// Shifts site-local output locations into the global id space (the same
-/// mapping serve's shards and reference runner apply).
+/// mapping the serial reference applies).
 void RemapLocations(EventStream* events, LocationId offset) {
   if (offset == 0) return;
   for (Event& event : *events) {

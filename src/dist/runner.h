@@ -26,7 +26,9 @@ Result<serve::Workload> ToWorkload(const TransferTrace& trace);
 /// (epoch, site) order with handoffs captured and spliced in memory at
 /// their schedule epochs. Output events are remapped into the global
 /// location space and concatenated in (epoch, site) order — the stream
-/// every distributed run reproduces exactly, for any node count.
+/// every distributed run reproduces exactly, for any node count. With no
+/// hops this is the plain per-site serial run (`spire_cli serve`); for a
+/// one-site workload, exactly the single-pipeline run.
 EventStream RunDistReference(const serve::Workload& workload,
                              const std::vector<TransferHop>& hops,
                              const PipelineOptions& options);

@@ -10,8 +10,8 @@
 // store/varint.h (signed values zigzag-coded); doubles travel as their
 // 8-byte little-endian IEEE-754 bit pattern, which round-trips exactly.
 //
-// Six frame types carry the shard feed/merge protocol of src/serve plus
-// the cross-site object handoff and fleet observability:
+// Six frame types carry the per-site feed/merge protocol plus the
+// cross-site object handoff and fleet observability:
 //
 //   Hello       both directions; version/identity check at connection open,
 //               plus the ClockSync exchange (each side's steady-clock "now"

@@ -1,19 +1,16 @@
 #include "serve/merger.h"
 
 #include <algorithm>
-#include <chrono>
 #include <string>
 
 #include "obs/registry.h"
 #include "obs/trace.h"
-#include "store/archive_writer.h"
 
 namespace spire::serve {
 
 namespace {
 
-/// Global "serve" module aggregates (the per-run numbers live in
-/// MergerMetrics).
+/// Global "serve" module aggregates.
 struct GlobalInstruments {
   obs::Counter* epochs_merged;
   obs::Counter* events_out;
@@ -29,18 +26,11 @@ const GlobalInstruments* GetGlobalInstruments() {
   return &instruments;
 }
 
-std::uint64_t MicrosSince(std::chrono::steady_clock::time_point start) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-}
-
 }  // namespace
 
 Status EventMerger::Drain(const std::vector<BoundedQueue<SiteBatch>*>& queues,
                           const std::vector<std::size_t>& batches_per_queue,
-                          EventStream* out, ArchiveWriter* archive) {
+                          EventStream* out) {
   if (queues.size() != batches_per_queue.size()) {
     return Status::InvalidArgument("merger: queue/site-count size mismatch");
   }
@@ -53,17 +43,13 @@ Status EventMerger::Drain(const std::vector<BoundedQueue<SiteBatch>*>& queues,
     bool first_batch = true;
     for (std::size_t q = 0; q < queues.size(); ++q) {
       for (std::size_t k = 0; k < batches_per_queue[q]; ++k) {
-        const auto wait_start = std::chrono::steady_clock::now();
         std::optional<SiteBatch> batch = [&] {
           obs::ScopedSpan span("serve", "merge_wait", epoch);
           return queues[q]->Pop();
         }();
-        if (metrics_ != nullptr) {
-          metrics_->wait_us.Add(MicrosSince(wait_start));
-        }
         if (!batch.has_value()) {
           return Status::Internal(
-              "merger: shard queue " + std::to_string(q) +
+              "merger: queue " + std::to_string(q) +
               " closed before its finish batch (epoch " +
               std::to_string(epoch) + ")");
         }
@@ -73,8 +59,8 @@ Status EventMerger::Drain(const std::vector<BoundedQueue<SiteBatch>*>& queues,
               " from queue " + std::to_string(q) + ", got " +
               std::to_string(batch->epoch));
         }
-        // The finish round is uniform: the router flushes every shard at
-        // the same epoch, so mixed rounds are a protocol violation.
+        // The finish round is uniform: every producer flushes at the same
+        // epoch, so mixed rounds are a protocol violation.
         if (first_batch) {
           finish = batch->finish;
           first_batch = false;
@@ -95,19 +81,6 @@ Status EventMerger::Drain(const std::vector<BoundedQueue<SiteBatch>*>& queues,
     const std::size_t first = out->size();
     for (SiteBatch& batch : round) {
       out->insert(out->end(), batch.events.begin(), batch.events.end());
-    }
-    if (archive != nullptr && archive_status_.ok()) {
-      for (std::size_t i = first; i < out->size(); ++i) {
-        Status status = archive->Append((*out)[i]);
-        if (!status.ok()) {
-          archive_status_ = status;
-          break;
-        }
-      }
-    }
-    if (metrics_ != nullptr) {
-      metrics_->events_out.Add(out->size() - first);
-      if (!finish) metrics_->epochs_merged.Add(1);
     }
     if (const GlobalInstruments* global = GetGlobalInstruments()) {
       global->events_out->Add(out->size() - first);

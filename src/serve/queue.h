@@ -1,20 +1,19 @@
 // Bounded multi-producer ring queue with blocking backpressure.
 //
-// The serving layer's only cross-thread channel. A fixed-capacity ring
-// buffer guarded by one mutex and two condition variables:
+// The channel between the dist coordinator's per-node reader threads and
+// its EventMerger. A fixed-capacity ring buffer guarded by one mutex and
+// two condition variables:
 //
-//   * Push on a full queue BLOCKS — backpressure propagates upstream all
-//     the way to the router, so a slow shard throttles ingest instead of
-//     growing unbounded buffers (TryPush is the non-blocking variant and
-//     counts rejections as drops).
+//   * Push on a full queue BLOCKS — backpressure propagates upstream, so a
+//     slow consumer throttles its producers instead of growing unbounded
+//     buffers.
 //   * Pop on an empty queue blocks until an item or Close().
 //   * Close() wakes everyone: further pushes fail, pops drain the items
 //     already queued and then return nullopt. Shutdown therefore loses
 //     nothing that was accepted.
 //
 // FIFO overall, hence FIFO per producer — the ordering the merger relies
-// on. Optional QueueMetrics record depth high-water, blocked pushes/pops,
-// and drops.
+// on.
 #pragma once
 
 #include <condition_variable>
@@ -25,17 +24,15 @@
 #include <vector>
 
 #include "obs/trace.h"
-#include "serve/metrics.h"
 
 namespace spire::serve {
 
 template <typename T>
 class BoundedQueue {
  public:
-  /// `capacity` must be >= 1. `metrics` may be nullptr; when given it must
-  /// outlive the queue.
-  explicit BoundedQueue(std::size_t capacity, QueueMetrics* metrics = nullptr)
-      : ring_(capacity < 1 ? 1 : capacity), metrics_(metrics) {}
+  /// `capacity` must be >= 1.
+  explicit BoundedQueue(std::size_t capacity)
+      : ring_(capacity < 1 ? 1 : capacity) {}
 
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
@@ -44,26 +41,12 @@ class BoundedQueue {
   bool Push(T item) {
     std::unique_lock<std::mutex> lock(mu_);
     if (count_ == ring_.size() && !closed_) {
-      if (metrics_ != nullptr) metrics_->blocked_pushes.Add(1);
       obs::ScopedSpan span("serve", "queue_wait");
       not_full_.wait(lock, [&] { return count_ < ring_.size() || closed_; });
     }
     if (closed_) return false;
-    Enqueue(std::move(item));
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Never blocks; false when full (counted as a drop) or closed.
-  bool TryPush(T item) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (closed_) return false;
-    if (count_ == ring_.size()) {
-      if (metrics_ != nullptr) metrics_->dropped.Add(1);
-      return false;
-    }
-    Enqueue(std::move(item));
+    ring_[(head_ + count_) % ring_.size()] = std::move(item);
+    ++count_;
     lock.unlock();
     not_empty_.notify_one();
     return true;
@@ -73,22 +56,13 @@ class BoundedQueue {
   std::optional<T> Pop() {
     std::unique_lock<std::mutex> lock(mu_);
     if (count_ == 0 && !closed_) {
-      if (metrics_ != nullptr) metrics_->blocked_pops.Add(1);
       obs::ScopedSpan span("serve", "queue_wait");
       not_empty_.wait(lock, [&] { return count_ > 0 || closed_; });
     }
     if (count_ == 0) return std::nullopt;
-    T item = Dequeue();
-    lock.unlock();
-    not_full_.notify_one();
-    return item;
-  }
-
-  /// Never blocks; nullopt when nothing is queued.
-  std::optional<T> TryPop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (count_ == 0) return std::nullopt;
-    T item = Dequeue();
+    T item = std::move(ring_[head_]);
+    head_ = (head_ + 1) % ring_.size();
+    --count_;
     lock.unlock();
     not_full_.notify_one();
     return item;
@@ -109,28 +83,7 @@ class BoundedQueue {
     return count_;
   }
 
-  std::size_t capacity() const { return ring_.size(); }
-
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
-
  private:
-  // Callers hold mu_.
-  void Enqueue(T item) {
-    ring_[(head_ + count_) % ring_.size()] = std::move(item);
-    ++count_;
-    if (metrics_ != nullptr) metrics_->RecordDepth(count_);
-  }
-
-  T Dequeue() {
-    T item = std::move(ring_[head_]);
-    head_ = (head_ + 1) % ring_.size();
-    --count_;
-    return item;
-  }
-
   mutable std::mutex mu_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
@@ -138,7 +91,6 @@ class BoundedQueue {
   std::size_t head_ = 0;
   std::size_t count_ = 0;
   bool closed_ = false;
-  QueueMetrics* metrics_;
 };
 
 }  // namespace spire::serve

@@ -134,10 +134,10 @@ class SpirePipeline {
   const Compressor& compressor() const { return *compressor_; }
   const PipelineOptions& options() const { return options_; }
 
-  /// The deployment this pipeline interprets. The serving layer (src/serve)
-  /// hosts one pipeline per site and uses this to map a pipeline back to
-  /// its site's registry; a pipeline instance itself stays single-threaded
-  /// — concurrency is achieved by running disjoint instances in parallel.
+  /// The deployment this pipeline interprets. The dist runtime (src/dist)
+  /// hosts one pipeline per site; a pipeline instance itself stays
+  /// single-threaded — concurrency is achieved by running disjoint
+  /// instances in parallel.
   const ReaderRegistry* registry() const { return registry_; }
 
   /// Costs of the last epoch and cumulative totals.

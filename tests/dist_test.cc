@@ -1,7 +1,9 @@
 // Tests for the distributed serving layer (src/dist): wire-protocol
 // hardening (corruption, truncation, version skew), handoff state serde,
 // transfer-schedule invariants, and end-to-end loopback runs that must
-// reproduce the serial reference byte for byte.
+// reproduce the serial reference byte for byte — over transfer traces
+// with cross-site hops and over the no-hop, normalized multi-site
+// workloads `spire_cli serve` runs.
 #include <cstdint>
 #include <iterator>
 #include <string>
@@ -10,8 +12,11 @@
 
 #include <gtest/gtest.h>
 
+#include "check/oracles.h"
+#include "check/trace_gen.h"
 #include "common/bitvector.h"
 #include "common/wire.h"
+#include "compress/well_formed.h"
 #include "dist/runner.h"
 #include "dist/transport.h"
 #include "dist/wire.h"
@@ -355,6 +360,42 @@ TEST(TransferTraceTest, ScheduleInvariantsHold) {
 // ---------------------------------------------------------------------------
 // End-to-end loopback vs serial reference
 
+/// Expands fuzz seeds into a normalized multi-site workload (one site per
+/// seed), the way `spire_cli serve sites=N` builds it.
+serve::Workload ServeWorkload(const std::vector<std::uint64_t>& seeds) {
+  serve::Workload workload;
+  for (std::uint64_t seed : seeds) {
+    FuzzCase fuzz_case = CaseFromSeed(seed);
+    // NormalizeWorkload plants the site bits itself, so each site must be a
+    // raw single-site trace; a transfer case's merged view already uses them.
+    fuzz_case.sim.transfer_sites = 1;
+    auto trace = GenerateTrace(fuzz_case);
+    EXPECT_TRUE(trace.ok()) << trace.status().ToString();
+    serve::SiteWorkload site;
+    site.name = "seed-" + std::to_string(seed);
+    site.registry = trace.value().registry;
+    site.epochs = std::move(trace.value().epochs);
+    workload.sites.push_back(std::move(site));
+  }
+  Status status = serve::NormalizeWorkload(&workload);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return workload;
+}
+
+/// A no-hop loopback run (`spire_cli serve`) with a small flow-control
+/// window, so the backpressure paths run too.
+EventStream Serve(const serve::Workload& workload, int nodes,
+                  CompressionLevel level = CompressionLevel::kLevel1) {
+  DistOptions options;
+  options.num_nodes = nodes;
+  options.inflight_epochs = 4;
+  options.pipeline.level = level;
+  DistResult result = RunDistLoopback(workload, {}, options);
+  EXPECT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(result.handoff_objects, 0u);
+  return std::move(result.events);
+}
+
 TEST(DistRunnerTest, LoopbackMatchesReferenceAtAnyNodeCount) {
   auto trace = BuildTransferTrace(TransferConfig());
   ASSERT_TRUE(trace.ok()) << trace.status().ToString();
@@ -368,19 +409,69 @@ TEST(DistRunnerTest, LoopbackMatchesReferenceAtAnyNodeCount) {
     const EventStream reference =
         RunDistReference(workload.value(), trace.value().hops, pipeline);
     EXPECT_FALSE(reference.empty());
-    for (int nodes : {1, 2, 3}) {
+    // Three sites, so 4 nodes clamps to 3.
+    for (int nodes : {1, 2, 3, 4}) {
       DistOptions options;
       options.num_nodes = nodes;
       options.pipeline = pipeline;
+      options.inflight_epochs = 4;  // Small: exercises flow control.
       DistResult result =
           RunDistLoopback(workload.value(), trace.value().hops, options);
       ASSERT_TRUE(result.status.ok())
           << "nodes=" << nodes << ": " << result.status.ToString();
       EXPECT_EQ(result.events, reference)
-          << "nodes=" << nodes << " level=" << static_cast<int>(level);
+          << "nodes=" << nodes << " level=" << static_cast<int>(level) << "\n"
+          << DiffStreams(result.events, reference, "loopback", "reference");
       EXPECT_GT(result.handoff_objects, 0u);
     }
   }
+}
+
+TEST(ServeTest, ShardCountsAreByteIdentical) {
+  // 3 sites over 4 nodes also exercises the clamp to the site count.
+  const serve::Workload workload = ServeWorkload({11, 12, 13});
+  for (CompressionLevel level :
+       {CompressionLevel::kLevel1, CompressionLevel::kLevel2}) {
+    PipelineOptions pipeline;
+    pipeline.level = level;
+    const EventStream reference = RunDistReference(workload, {}, pipeline);
+    EXPECT_FALSE(reference.empty());
+    for (int nodes : {1, 2, 4}) {
+      EventStream served = Serve(workload, nodes, level);
+      EXPECT_EQ(served, reference)
+          << "nodes=" << nodes << " level=" << static_cast<int>(level) << "\n"
+          << DiffStreams(served, reference, "serve", "reference");
+    }
+  }
+}
+
+TEST(ServeTest, SingleSiteMatchesPlainPipeline) {
+  // Site 0's normalization is the identity, so a one-site run must
+  // reproduce the plain single-threaded pipeline bit for bit.
+  FuzzCase fuzz_case = CaseFromSeed(21);
+  fuzz_case.sim.transfer_sites = 1;  // Same single-site view as ServeWorkload.
+  auto trace = GenerateTrace(fuzz_case);
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  EventStream plain =
+      RunPipelineOnTrace(trace.value(), CompressionLevel::kLevel1);
+
+  EventStream served = Serve(ServeWorkload({21}), 1);
+  EXPECT_EQ(served, plain) << DiffStreams(served, plain, "serve", "pipeline");
+}
+
+TEST(ServeTest, MergedStreamIsWellFormed) {
+  EventStream served = Serve(ServeWorkload({31, 32, 33, 34}), 2);
+  Status status = ValidateWellFormed(served);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+}
+
+TEST(ServeTest, Level2RecoversLevel1) {
+  const serve::Workload workload = ServeWorkload({41, 42});
+  EventStream level1 = Serve(workload, 2, CompressionLevel::kLevel1);
+  EventStream level2 = Serve(workload, 2, CompressionLevel::kLevel2);
+  auto failure = DifferentialChecker::CheckLevel2Recovery(level1, level2);
+  EXPECT_FALSE(failure.has_value())
+      << failure->oracle << ": " << failure->detail;
 }
 
 TEST(DistRunnerTest, ObsInstrumentsCountTraffic) {

@@ -1,23 +1,18 @@
-// Tests for the concurrent serving layer (src/serve): the bounded MPSC
-// queue, the epoch-barrier merger, and end-to-end determinism — serve at
-// any shard count must reproduce the serial reference byte-for-byte.
+// Tests for the pieces of src/serve the dist coordinator builds on: the
+// bounded MPSC queue, the epoch-barrier merger, and workload
+// normalization. End-to-end `serve` runs (no-hop dist loopback over a
+// normalized workload) are tested in dist_test.cc.
 #include <atomic>
 #include <chrono>
-#include <cstdint>
 #include <optional>
-#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "check/oracles.h"
-#include "check/trace_gen.h"
-#include "compress/well_formed.h"
 #include "serve/merger.h"
 #include "serve/queue.h"
-#include "serve/router.h"
-#include "serve/server.h"
 #include "serve/workload.h"
 
 namespace spire::serve {
@@ -52,8 +47,7 @@ TEST(BoundedQueueTest, PopBlocksUntilPush) {
 }
 
 TEST(BoundedQueueTest, PushBlocksWhenFullAndResumesOnPop) {
-  QueueMetrics metrics;
-  BoundedQueue<int> queue(2, &metrics);
+  BoundedQueue<int> queue(2);
   EXPECT_TRUE(queue.Push(1));
   EXPECT_TRUE(queue.Push(2));
   std::atomic<bool> pushed{false};
@@ -68,18 +62,6 @@ TEST(BoundedQueueTest, PushBlocksWhenFullAndResumesOnPop) {
   EXPECT_TRUE(pushed.load());
   EXPECT_EQ(queue.Pop().value_or(-1), 2);
   EXPECT_EQ(queue.Pop().value_or(-1), 3);
-  EXPECT_GE(metrics.blocked_pushes.value(), 1u);
-  EXPECT_EQ(metrics.depth_highwater.value(), 2);
-}
-
-TEST(BoundedQueueTest, TryPushCountsDrops) {
-  QueueMetrics metrics;
-  BoundedQueue<int> queue(1, &metrics);
-  EXPECT_TRUE(queue.TryPush(1));
-  EXPECT_FALSE(queue.TryPush(2));
-  EXPECT_FALSE(queue.TryPush(3));
-  EXPECT_EQ(metrics.dropped.value(), 2u);
-  EXPECT_EQ(queue.Pop().value_or(-1), 1);
 }
 
 TEST(BoundedQueueTest, CloseWakesBlockedPop) {
@@ -177,8 +159,7 @@ TEST(EventMergerTest, MergesByEpochThenSite) {
   q0.Close();
   q1.Close();
 
-  MergerMetrics metrics;
-  EventMerger merger(&metrics);
+  EventMerger merger;
   EventStream out;
   ASSERT_TRUE(merger.Drain(queues, per_queue, &out).ok());
 
@@ -186,8 +167,6 @@ TEST(EventMergerTest, MergesByEpochThenSite) {
   std::vector<ObjectId> got;
   for (const Event& event : out) got.push_back(event.object);
   EXPECT_EQ(got, (std::vector<ObjectId>{100, 101, 102, 200, 201, 202}));
-  EXPECT_EQ(metrics.epochs_merged.value(), 2u);  // Data rounds; finish not.
-  EXPECT_EQ(metrics.events_out.value(), 6u);
 }
 
 TEST(EventMergerTest, EarlyCloseIsProtocolError) {
@@ -211,130 +190,7 @@ TEST(EventMergerTest, WrongEpochIsProtocolError) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end serving
-
-/// Expands fuzz seeds into a normalized multi-site workload (one site per
-/// seed), reusing the src/check trace generator.
-Workload MakeWorkload(const std::vector<std::uint64_t>& seeds) {
-  Workload workload;
-  for (std::size_t i = 0; i < seeds.size(); ++i) {
-    FuzzCase fuzz_case = CaseFromSeed(seeds[i]);
-    // NormalizeWorkload plants the site bits itself, so each site must be a
-    // raw single-site trace; a transfer case's merged view already uses them.
-    fuzz_case.sim.transfer_sites = 1;
-    auto trace = GenerateTrace(fuzz_case);
-    EXPECT_TRUE(trace.ok()) << trace.status().ToString();
-    SiteWorkload site;
-    site.name = "seed-" + std::to_string(seeds[i]);
-    site.registry = trace.value().registry;
-    site.epochs = std::move(trace.value().epochs);
-    workload.sites.push_back(std::move(site));
-  }
-  Status status = NormalizeWorkload(&workload);
-  EXPECT_TRUE(status.ok()) << status.ToString();
-  return workload;
-}
-
-EventStream Serve(const Workload& workload, int shards,
-                  CompressionLevel level = CompressionLevel::kLevel1) {
-  ServeOptions options;
-  options.num_shards = shards;
-  options.queue_capacity = 4;  // Small: exercises backpressure paths.
-  options.pipeline.level = level;
-  SpireServer server(&workload, options);
-  ServeResult result = server.Run();
-  EXPECT_TRUE(result.status.ok()) << result.status.ToString();
-  EXPECT_EQ(result.epochs_processed, workload.num_epochs);
-  return std::move(result.events);
-}
-
-TEST(ServeTest, ShardCountsAreByteIdentical) {
-  // 3 sites over 4 shards also exercises a shard that owns zero sites.
-  Workload workload = MakeWorkload({11, 12, 13});
-  for (CompressionLevel level :
-       {CompressionLevel::kLevel1, CompressionLevel::kLevel2}) {
-    PipelineOptions options;
-    options.level = level;
-    EventStream reference = RunServeReference(workload, options);
-    EXPECT_FALSE(reference.empty());
-    for (int shards : {1, 2, 4}) {
-      EventStream served = Serve(workload, shards, level);
-      EXPECT_EQ(served, reference)
-          << "shards=" << shards << " level=" << static_cast<int>(level)
-          << "\n"
-          << DiffStreams(served, reference, "serve", "reference");
-    }
-  }
-}
-
-TEST(ServeTest, SingleSiteMatchesPlainPipeline) {
-  // Site 0's normalization is the identity, so serve over one site must
-  // reproduce the plain single-threaded pipeline bit for bit.
-  FuzzCase fuzz_case = CaseFromSeed(21);
-  fuzz_case.sim.transfer_sites = 1;  // Same single-site view as MakeWorkload.
-  auto trace = GenerateTrace(fuzz_case);
-  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
-  EventStream plain =
-      RunPipelineOnTrace(trace.value(), CompressionLevel::kLevel1);
-
-  Workload workload = MakeWorkload({21});
-  EventStream served = Serve(workload, 1);
-  EXPECT_EQ(served, plain) << DiffStreams(served, plain, "serve", "pipeline");
-}
-
-TEST(ServeTest, MergedStreamIsWellFormed) {
-  Workload workload = MakeWorkload({31, 32, 33, 34});
-  EventStream served = Serve(workload, 2);
-  Status status = ValidateWellFormed(served);
-  EXPECT_TRUE(status.ok()) << status.ToString();
-}
-
-TEST(ServeTest, Level2RecoversLevel1) {
-  Workload workload = MakeWorkload({41, 42});
-  EventStream level1 = Serve(workload, 2, CompressionLevel::kLevel1);
-  EventStream level2 = Serve(workload, 2, CompressionLevel::kLevel2);
-  auto failure = DifferentialChecker::CheckLevel2Recovery(level1, level2);
-  EXPECT_FALSE(failure.has_value())
-      << failure->oracle << ": " << failure->detail;
-}
-
-TEST(ServeTest, RequestStopStillFlushesOpenEvents) {
-  Workload workload = MakeWorkload({51, 52});
-  ServeOptions options;
-  options.num_shards = 2;
-  options.queue_capacity = 2;
-  SpireServer server(&workload, options);
-  std::thread stopper([&server] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    server.RequestStop();
-  });
-  ServeResult result = server.Run();
-  stopper.join();
-  EXPECT_TRUE(result.status.ok()) << result.status.ToString();
-  EXPECT_LE(result.epochs_processed, workload.num_epochs);
-  // However much was ingested, every pipeline flushed: no open events.
-  Status status = ValidateWellFormed(result.events);
-  EXPECT_TRUE(status.ok()) << status.ToString();
-}
-
-TEST(ServeTest, MetricsJsonReportsRegistry) {
-  Workload workload = MakeWorkload({61, 62});
-  ServeOptions options;
-  options.num_shards = 2;
-  SpireServer server(&workload, options);
-  ServeResult result = server.Run();
-  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-  const std::string json = server.MetricsJson();
-  EXPECT_NE(json.find("\"num_shards\":2"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"num_sites\":2"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"process_latency\""), std::string::npos);
-  EXPECT_NE(json.find("\"merger\""), std::string::npos);
-  EXPECT_NE(json.find("\"epochs_per_sec\""), std::string::npos);
-  const std::uint64_t merged_epochs =
-      server.metrics().merger().epochs_merged.value();
-  EXPECT_EQ(merged_epochs, static_cast<std::uint64_t>(workload.num_epochs))
-      << "one merged round per data epoch";
-}
+// Workload normalization
 
 TEST(ServeTest, NormalizeRejectsOversizedWorkloads) {
   Workload workload;

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Local CI: configure, build, and run the test suite in three
 # configurations — plain, ASan+UBSan (SPIRE_SANITIZE=ON), and TSan
-# (SPIRE_SANITIZE=thread, concurrency tests only: the serving layer's
-# queue/merger/serve suites). Any warning is an error in every
-# configuration (-Werror is always on). After ctest, the plain and
-# sanitized configurations replay the spire_fuzz seed corpus
+# (SPIRE_SANITIZE=thread, concurrency tests only: the queue/merger
+# suites and the dist loopback runs, `serve`'s no-hop shape included).
+# Any warning is an error in every configuration (-Werror is always
+# on). After ctest, the plain and sanitized configurations replay the
+# spire_fuzz seed corpus
 # (tools/fuzz_seeds.txt) through the differential oracle battery
 # (DESIGN.md §7); an oracle violation fails the build and leaves the
 # minimized repro under <build-dir>/fuzz-repros/ (its path is printed on
@@ -38,7 +39,7 @@
 #   tools/ci.sh            # all three configurations
 #   tools/ci.sh plain      # plain only
 #   tools/ci.sh sanitize   # ASan+UBSan only
-#   tools/ci.sh tsan       # ThreadSanitizer only (serve/queue/merger tests)
+#   tools/ci.sh tsan       # ThreadSanitizer only (queue/merger/dist tests)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -60,8 +61,8 @@ run_config() {
 }
 
 # TSan watches the threaded code paths; the single-threaded suites add
-# nothing but runtime, so only the serving-layer and obs-instrument tests
-# run here.
+# nothing but runtime, so only the queue/merger, dist (ServeTest is the
+# no-hop shape), query-cache and obs-instrument tests run here.
 run_tsan() {
   local dir="build-tsan"
   echo "=== [tsan] configure ==="
@@ -90,7 +91,7 @@ run_obs_smoke() {
   "$dir/tools/spire_cli" statusz seed=7 json=true > "$tmp/statusz.json"
   "$dir/tools/spire_cli" obscheck trace="$tmp/trace.json" \
     metrics="$tmp/statusz.json" explain="$tmp/run.spexp"
-  "$dir/tools/spire_cli" serve sites=1 seed=7 shards=1 \
+  "$dir/tools/spire_cli" serve sites=1 seed=7 nodes=1 \
     out="$tmp/off.spev" > /dev/null
   if ! cmp -s "$tmp/on.spev" "$tmp/off.spev"; then
     echo "obs smoke: instrumented run diverged from uninstrumented run" >&2

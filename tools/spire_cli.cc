@@ -20,11 +20,12 @@
 //                        [threads=N] [passes=N] [cache_mb=M] [check=0|1]
 //                        [mmap=0|1] [stats_out=metrics.json]
 //                        [statusz=text|json]
-//   spire_cli serve      in=<t1,t2,..> deployment=<d1,d2,..> out=events.spev
-//                        [shards=N] [queue=C] [level=1|2] [--stats]
-//                        [stats_out=metrics.json] [trace_out=trace.json]
-//                        [statusz=text|json]
-//   spire_cli serve      sites=N seed=S out=events.spev [shards=N] [...]
+//   spire_cli serve      in=<t1,t2,..> deployment=<d1,d2,..>
+//                        [out=events.spev] [nodes=N] [check=0|1] [level=1|2]
+//                        [statusz=text|json] [--stats]
+//                        [stats_out=metrics.json] [stats_every=E]
+//                        [trace_out=trace.json]
+//   spire_cli serve      sites=N seed=S [out=events.spev] [nodes=N] [...]
 //   spire_cli dist       seed=S [sites=N] [nodes=N] [mode=loopback|spawn]
 //                        [check=0|1] [out=events.spev] [level=1|2]
 //                        [statusz=text|json] [--stats]
@@ -72,12 +73,13 @@
 // `passes=` repeats the workload (warm-cache demos). Per-kind latency
 // histograms and the cache counters land in `stats_out=`/`statusz`.
 //
-// `serve` runs the concurrent sharded serving layer (src/serve): one SPIRE
-// pipeline per site on N worker shards with an ordered merge. Sites come
-// either from per-site trace/deployment file pairs (comma-separated, same
-// count) or from the differential-checking trace generator (`sites=N`
-// expands seeds S..S+N-1). `--stats` dumps the runtime metrics registry as
-// JSON on stdout at shutdown.
+// `serve` runs independent sites through the same loopback runtime and
+// reporting as `dist mode=loopback`, with no cross-site hops: one SPIRE
+// pipeline per site on `nodes=N` node threads with an ordered merge. Sites
+// come either from per-site trace/deployment file pairs (comma-separated,
+// same count) or from the differential-checking trace generator
+// (`sites=N` expands seeds S..S+N-1), and are normalized into disjoint
+// tag and location id spaces (serve/workload.h).
 //
 // The observability entry points (DESIGN.md §9): `run` processes one site
 // single-threaded with instruments on — optionally writing a Chrome trace
@@ -133,7 +135,6 @@
 #include "obs/trace.h"
 #include "query/event_log.h"
 #include "query/segment_log.h"
-#include "serve/server.h"
 #include "serve/workload.h"
 #include "sim/simulator.h"
 #include "smurf/smurf.h"
@@ -217,12 +218,22 @@ int RunGenerate(const Config& args) {
 
 // ----------------------------------------------------------------- process
 
-/// Pipeline knobs shared by `process` and `run`.
-PipelineOptions PipelineOptionsFromArgs(const Config& args) {
+/// The `level=` key of every pipeline-running command: 1 or 2 (default 2).
+Result<CompressionLevel> LevelArg(const Config& args) {
+  auto level = args.GetInt("level", 2);
+  if (level.ok() && level.value() == 1) return CompressionLevel::kLevel1;
+  if (level.ok() && level.value() == 2) return CompressionLevel::kLevel2;
+  return Status::InvalidArgument(
+      "level must be 1 or 2, got '" +
+      args.GetString("level", "").value_or("") + "'");
+}
+
+/// Pipeline knobs shared by `process`, `run`, `statusz` and `detect`.
+Result<PipelineOptions> PipelineOptionsFromArgs(const Config& args) {
+  auto level = LevelArg(args);
+  if (!level.ok()) return level.status();
   PipelineOptions options;
-  options.level = args.GetInt("level", 2).value_or(2) == 1
-                      ? CompressionLevel::kLevel1
-                      : CompressionLevel::kLevel2;
+  options.level = level.value();
   options.inference.beta =
       args.GetDouble("beta", options.inference.beta).value_or(0.4);
   options.inference.gamma =
@@ -256,8 +267,9 @@ int RunProcess(const Config& args) {
   auto registry = ParseDeployment(lines.value());
   if (!registry.ok()) return Fail(registry.status());
 
-  PipelineOptions options = PipelineOptionsFromArgs(args);
-  SpirePipeline pipeline(&registry.value(), options);
+  auto options = PipelineOptionsFromArgs(args);
+  if (!options.ok()) return Fail(options.status());
+  SpirePipeline pipeline(&registry.value(), options.value());
 
   std::ifstream in(in_path, std::ios::binary);
   if (!in) return FailText("cannot open: " + in_path);
@@ -285,7 +297,7 @@ int RunProcess(const Config& args) {
   std::printf("processed %zu readings -> %zu events (level %d), "
               "compression ratio %.4f\n",
               total_readings, events.size(),
-              options.level == CompressionLevel::kLevel1 ? 1 : 2,
+              options.value().level == CompressionLevel::kLevel1 ? 1 : 2,
               total_readings == 0
                   ? 0.0
                   : static_cast<double>(events.size() * kEventWireBytes) /
@@ -983,79 +995,6 @@ Result<serve::Workload> BuildServeWorkload(const Config& args) {
   return workload;
 }
 
-int RunServe(const Config& args) {
-  auto out_path = args.GetString("out", "").value_or("");
-  if (out_path.empty()) return FailText("serve needs out=<events>");
-  auto workload = BuildServeWorkload(args);
-  if (!workload.ok()) return Fail(workload.status());
-
-  const auto trace_out = args.GetString("trace_out", "").value_or("");
-  const auto statusz = args.GetString("statusz", "").value_or("");
-  if (!trace_out.empty() || !statusz.empty()) {
-    obs::SetEnabled(true);
-    obs::Registry::Global().GetCounter("common", "cli_invocations")->Add(1);
-  }
-  if (!trace_out.empty()) {
-    Status status = obs::Tracer::Global().Start(trace_out);
-    if (!status.ok()) return Fail(status);
-  }
-
-  serve::ServeOptions options;
-  options.num_shards =
-      static_cast<int>(args.GetInt("shards", 1).value_or(1));
-  options.queue_capacity = static_cast<std::size_t>(
-      args.GetInt("queue", 64).value_or(64));
-  options.pipeline.level = args.GetInt("level", 2).value_or(2) == 1
-                               ? CompressionLevel::kLevel1
-                               : CompressionLevel::kLevel2;
-
-  serve::SpireServer server(&workload.value(), options);
-  serve::ServeResult result = server.Run();
-  if (!result.status.ok()) return Fail(result.status);
-
-  if (!trace_out.empty()) {
-    Status status = obs::Tracer::Global().Stop();
-    if (!status.ok()) return Fail(status);
-  }
-
-  Status status = WriteEventFile(out_path, result.events);
-  if (!status.ok()) return Fail(status);
-
-  std::size_t total_readings = 0;
-  for (const auto& site : workload.value().sites) {
-    total_readings += site.total_readings;
-  }
-  std::printf("served %zu site(s) on %d shard(s): %zu readings over %lld "
-              "epochs -> %zu events in %.3fs (%.0f epochs/s)\n",
-              workload.value().sites.size(), options.num_shards,
-              total_readings,
-              static_cast<long long>(result.epochs_processed),
-              result.events.size(), result.wall_seconds,
-              result.wall_seconds > 0.0
-                  ? static_cast<double>(result.epochs_processed) /
-                        result.wall_seconds
-                  : 0.0);
-
-  const bool stats = args.GetBool("stats", false).value_or(false);
-  auto stats_out = args.GetString("stats_out", "").value_or("");
-  if (stats || !stats_out.empty()) {
-    const std::string json = server.MetricsJson();
-    if (stats) std::printf("%s\n", json.c_str());
-    if (!stats_out.empty()) {
-      std::ofstream stats_file(stats_out);
-      if (!stats_file) return FailText("cannot open: " + stats_out);
-      stats_file << json << "\n";
-      if (!stats_file.good()) return FailText("write failed: " + stats_out);
-    }
-  }
-  if (statusz == "json") {
-    std::printf("%s\n", obs::Registry::Global().ToJson().c_str());
-  } else if (!statusz.empty()) {
-    std::printf("%s", obs::Registry::Global().ToText().c_str());
-  }
-  return 0;
-}
-
 // -------------------------------------------------------------- dist
 
 /// The transfer scenario behind one `dist`/`node` run. Both commands must
@@ -1097,14 +1036,6 @@ Result<DistWorkload> BuildDistWorkload(const Config& args) {
   return out;
 }
 
-PipelineOptions DistPipelineOptions(const Config& args) {
-  PipelineOptions pipeline;
-  pipeline.level = args.GetInt("level", 2).value_or(2) == 1
-                       ? CompressionLevel::kLevel1
-                       : CompressionLevel::kLevel2;
-  return pipeline;
-}
-
 int RunNode(const Config& args) {
   const auto node_id = args.GetInt("node_id", -1).value_or(-1);
   const auto nodes = args.GetInt("nodes", 0).value_or(0);
@@ -1114,6 +1045,8 @@ int RunNode(const Config& args) {
         "node needs node_id=I nodes=N fd=F (plus the dist run's workload "
         "args)");
   }
+  auto level = LevelArg(args);
+  if (!level.ok()) return Fail(level.status());
   // A spawned node traces into its own file (the parent appends
   // trace_out=<base>.node<N>.json) and labels its process row; the
   // ClockSync offset from the Hello exchange aligns it onto the
@@ -1133,7 +1066,7 @@ int RunNode(const Config& args) {
       config.node_id, static_cast<int>(built.value().workload.sites.size()),
       static_cast<int>(nodes));
   config.workload = &built.value().workload;
-  config.pipeline = DistPipelineOptions(args);
+  config.pipeline.level = level.value();
   auto conn = dist::MakeFdConn(static_cast<int>(fd));
   Status status = dist::RunDistNode(config, conn.get());
   conn->Close();
@@ -1286,11 +1219,20 @@ std::string FleetStatsJson(const dist::DistResult& result, bool merge_nodes) {
   return out.str();
 }
 
-int RunDist(const Config& args, const std::vector<std::string>& raw_args) {
-  auto built = BuildDistWorkload(args);
-  if (!built.ok()) return Fail(built.status());
-  const serve::Workload& workload = built.value().workload;
-  const std::vector<TransferHop>& hops = built.value().hops;
+/// Runs `built` on a node fleet and reports it: the shared back end of
+/// `dist` and `serve`. `mode` is loopback (node threads in this process)
+/// or spawn (forked `node` processes; `raw_args` feeds their argument
+/// lists). Handles nodes=, level=, trace_out=, the stats outputs, the
+/// serial-reference check (check=1, the default) and out=.
+int RunFleet(const Config& args, const std::vector<std::string>& raw_args,
+             const DistWorkload& built, const std::string& command,
+             const std::string& mode) {
+  const serve::Workload& workload = built.workload;
+  const std::vector<TransferHop>& hops = built.hops;
+  auto level = LevelArg(args);
+  if (!level.ok()) return Fail(level.status());
+  auto nodes = args.GetInt("nodes", 2);
+  if (!nodes.ok()) return Fail(nodes.status());
 
   const auto statusz = args.GetString("statusz", "").value_or("");
   const bool stats = args.GetBool("stats", false).value_or(false);
@@ -1303,14 +1245,9 @@ int RunDist(const Config& args, const std::vector<std::string>& raw_args) {
   }
 
   dist::DistOptions options;
-  options.num_nodes = static_cast<int>(args.GetInt("nodes", 2).value_or(2));
-  options.num_nodes = std::max(
-      1, std::min(options.num_nodes, static_cast<int>(workload.sites.size())));
-  options.pipeline = DistPipelineOptions(args);
-  const auto mode = args.GetString("mode", "loopback").value_or("loopback");
-  if (mode != "loopback" && mode != "spawn") {
-    return FailText("mode must be loopback or spawn");
-  }
+  options.num_nodes = static_cast<int>(std::clamp<std::int64_t>(
+      nodes.value(), 1, static_cast<std::int64_t>(workload.sites.size())));
+  options.pipeline.level = level.value();
 
   // Stats cadence: any metrics output turns on StatsReport frames every
   // stats_every epochs (plus the final report); stats_every=N alone also
@@ -1332,7 +1269,7 @@ int RunDist(const Config& args, const std::vector<std::string>& raw_args) {
     Status status = obs::Tracer::Global().Start(coordinator_trace);
     if (!status.ok()) return Fail(status);
     obs::Tracer::Global().SetProcessLabel(mode == "spawn" ? "coordinator"
-                                                          : "dist");
+                                                          : command);
     trace_parts.push_back(coordinator_trace);
     if (mode == "spawn") {
       for (int n = 0; n < options.num_nodes; ++n) {
@@ -1347,8 +1284,7 @@ int RunDist(const Config& args, const std::vector<std::string>& raw_args) {
   if (mode == "loopback") {
     result = dist::RunDistLoopback(workload, hops, options);
   } else {
-    result = SpawnDistProcesses(raw_args, built.value(), options,
-                                trace_out.empty() ? "" : trace_out);
+    result = SpawnDistProcesses(raw_args, built, options, trace_out);
   }
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -1378,9 +1314,9 @@ int RunDist(const Config& args, const std::vector<std::string>& raw_args) {
   }
 
   std::printf(
-      "dist (%s): %zu site(s) on %d node(s), %lld epochs -> %zu events, "
+      "%s (%s): %zu site(s) on %d node(s), %lld epochs -> %zu events, "
       "%zu handoff(s) carrying %zu object(s) in %.3fs\n",
-      mode.c_str(), workload.sites.size(), options.num_nodes,
+      command.c_str(), mode.c_str(), workload.sites.size(), options.num_nodes,
       static_cast<long long>(workload.num_epochs), result.events.size(),
       result.handoff_hops, result.handoff_objects, wall);
 
@@ -1424,6 +1360,24 @@ int RunDist(const Config& args, const std::vector<std::string>& raw_args) {
   return 0;
 }
 
+int RunDist(const Config& args, const std::vector<std::string>& raw_args) {
+  const auto mode = args.GetString("mode", "loopback").value_or("loopback");
+  if (mode != "loopback" && mode != "spawn") {
+    return FailText("mode must be loopback or spawn");
+  }
+  auto built = BuildDistWorkload(args);
+  if (!built.ok()) return Fail(built.status());
+  return RunFleet(args, raw_args, built.value(), "dist", mode);
+}
+
+int RunServe(const Config& args) {
+  auto workload = BuildServeWorkload(args);
+  if (!workload.ok()) return Fail(workload.status());
+  DistWorkload built;
+  built.workload = std::move(workload).value();
+  return RunFleet(args, {}, built, "serve", "loopback");
+}
+
 // ------------------------------------------------------- observability
 
 /// One site for `run`: a (trace, deployment) file pair or a fuzz-seed case
@@ -1465,6 +1419,8 @@ void RecordCommonInstruments(const Config& args) {
 }
 
 int RunRun(const Config& args) {
+  auto options = PipelineOptionsFromArgs(args);
+  if (!options.ok()) return Fail(options.status());
   obs::SetEnabled(true);
   obs::Registry::Global().Reset();
   RecordCommonInstruments(args);
@@ -1479,8 +1435,7 @@ int RunRun(const Config& args) {
   if (!workload.ok()) return Fail(workload.status());
   std::vector<EpochReadings>& epochs = workload.value().epochs;
 
-  SpirePipeline pipeline(&workload.value().registry,
-                         PipelineOptionsFromArgs(args));
+  SpirePipeline pipeline(&workload.value().registry, options.value());
   obs::ExplainLog explain;
   pipeline.SetExplainSink(&explain);
 
@@ -1539,6 +1494,8 @@ int RunRun(const Config& args) {
 }
 
 int RunStatusz(const Config& args) {
+  auto options = PipelineOptionsFromArgs(args);
+  if (!options.ok()) return Fail(options.status());
   obs::SetEnabled(true);
   auto& metrics = obs::Registry::Global();
   metrics.Reset();
@@ -1567,7 +1524,7 @@ int RunStatusz(const Config& args) {
   auto writer = ArchiveWriter::Open(archive_path, {});
   if (!writer.ok()) return Fail(writer.status());
 
-  SpirePipeline pipeline(&site_registry, PipelineOptionsFromArgs(args));
+  SpirePipeline pipeline(&site_registry, options.value());
   pipeline.SetArchiveSink(writer.value().get());
   EventStream events;
   for (std::size_t i = 0; i < epochs.size(); ++i) {
@@ -1853,10 +1810,11 @@ Result<DetectInput> BuildDetectInput(const Config& args) {
       seed > 0 || (!in_path.empty() && in_path.ends_with(".sptr"));
 
   if (run_pipeline) {
+    auto options = PipelineOptionsFromArgs(args);
+    if (!options.ok()) return options.status();
     auto workload = BuildRunWorkload(args);
     if (!workload.ok()) return workload.status();
-    SpirePipeline pipeline(&workload.value().registry,
-                           PipelineOptionsFromArgs(args));
+    SpirePipeline pipeline(&workload.value().registry, options.value());
     std::vector<EpochReadings>& epochs = workload.value().epochs;
     for (std::size_t i = 0; i < epochs.size(); ++i) {
       pipeline.ProcessEpoch(static_cast<Epoch>(i), std::move(epochs[i]),
