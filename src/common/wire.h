@@ -65,8 +65,11 @@ inline constexpr std::uint32_t kDistFrameMarker = 0x53504446;  // "SPDF"
 /// Version 1: Hello / EpochWork / SiteBatch / Barrier / Handoff payloads
 /// (dist/wire.h). Version 2 adds the StatsReport frame and the fleet
 /// observability fields: clock sync + stats cadence in Hello, a heartbeat
-/// stamp in Barrier, and a trace span id in Handoff. Peers reject any
-/// other version at the frame layer.
-inline constexpr std::uint16_t kDistProtocolVersion = 2;
+/// stamp in Barrier, and a trace span id in Handoff. Version 3 folds a
+/// node's per-site SiteBatch frames and its Barrier into one EpochResult
+/// frame per node and epoch (types: Hello / EpochWork / EpochResult /
+/// Handoff / StatsReport). Peers reject any other version at the frame
+/// layer.
+inline constexpr std::uint16_t kDistProtocolVersion = 3;
 
 }  // namespace spire

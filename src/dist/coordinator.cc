@@ -25,7 +25,7 @@ obs::Counter* BarrierWaitsCounter() {
 }
 
 /// The coordinator's fleet-health instruments: per-node clock skew and
-/// epoch lag, the fleet-wide worst lag, and the Barrier heartbeat gap.
+/// epoch lag, the fleet-wide worst lag, and the EpochResult heartbeat gap.
 /// Sized to the run's node count, so built per run rather than as a
 /// static.
 struct FleetInstruments {
@@ -79,17 +79,13 @@ DistResult RunDistCoordinator(const serve::Workload& workload,
                                                      : options.inflight_epochs);
 
   std::vector<std::vector<int>> sites_of(num_nodes);
-  std::vector<std::size_t> batches_per_queue(num_nodes);
+  std::vector<std::unique_ptr<serve::BoundedQueue<serve::EpochResult>>> queues;
+  std::vector<serve::BoundedQueue<serve::EpochResult>*> queue_ptrs;
   for (int n = 0; n < num_nodes; ++n) {
     sites_of[n] = SitesOfNode(n, num_sites, num_nodes);
-    batches_per_queue[n] = sites_of[n].size();
-  }
-
-  std::vector<std::unique_ptr<serve::BoundedQueue<serve::SiteBatch>>> queues;
-  std::vector<serve::BoundedQueue<serve::SiteBatch>*> queue_ptrs;
-  for (int n = 0; n < num_nodes; ++n) {
-    queues.push_back(std::make_unique<serve::BoundedQueue<serve::SiteBatch>>(
-        static_cast<std::size_t>(window) * batches_per_queue[n] + 1));
+    queues.push_back(
+        std::make_unique<serve::BoundedQueue<serve::EpochResult>>(
+            static_cast<std::size_t>(window) + 1));
     queue_ptrs.push_back(queues.back().get());
   }
 
@@ -125,84 +121,54 @@ DistResult RunDistCoordinator(const serve::Workload& workload,
     for (Conn* conn : conns) conn->Close();
   };
 
-  auto reader = [&](int n) {
-    for (;;) {
-      Frame frame;
-      bool eof = false;
-      Status status = RecvFrame(conns[static_cast<std::size_t>(n)], &frame,
-                                &eof);
-      if (!status.ok()) {
-        fail(std::move(status));
-        break;
-      }
-      if (eof) {
-        bool clean = false;
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          clean = finished[static_cast<std::size_t>(n)] != 0;
-        }
-        if (!clean) {
-          fail(Status::Internal("node " + std::to_string(n) +
-                                " disconnected before finish"));
-        }
-        break;
-      }
-      if (frame.type == FrameType::kHello) {
+  /// Handles one frame from node `n`; an error status fails the run.
+  auto handle = [&](int n, Frame& frame) -> Status {
+    const auto node = static_cast<std::size_t>(n);
+    switch (frame.type) {
+      case FrameType::kHello: {
         Result<HelloPayload> hello = DecodeHello(frame.payload);
-        if (!hello.ok()) {
-          fail(hello.status());
-          break;
-        }
+        if (!hello.ok()) return hello.status();
         if (hello.value().node_id != static_cast<std::uint32_t>(n)) {
-          fail(Status::Internal("node identity mismatch"));
-          break;
+          return Status::Internal("node identity mismatch");
         }
         if (fleet != nullptr) {
           // One-way skew estimate: the node stamped its Hello at send, we
           // read our clock at receipt; the gap is send->receive delay plus
           // any clock divergence (~0 on one machine: CLOCK_MONOTONIC is
           // boot-global).
-          fleet->clock_skew_us[static_cast<std::size_t>(n)]->Set(
+          fleet->clock_skew_us[node]->Set(
               static_cast<std::int64_t>(SteadyNowMicros()) -
               static_cast<std::int64_t>(hello.value().steady_now_micros));
         }
-        continue;
+        return Status::OK();
       }
-      if (frame.type == FrameType::kSiteBatch) {
-        Result<SiteBatchPayload> decoded = DecodeSiteBatch(frame.payload);
-        if (!decoded.ok()) {
-          fail(decoded.status());
-          break;
+      case FrameType::kEpochResult: {
+        Result<EpochResultPayload> decoded = DecodeEpochResult(frame.payload);
+        if (!decoded.ok()) return decoded.status();
+        serve::EpochResult& epoch_result = decoded.value().result;
+        // Exactly the node's own sites, ascending, each once.
+        auto site_of = [](const auto& entry) {
+          return static_cast<int>(entry.first);
+        };
+        if (!std::ranges::equal(epoch_result.site_events, sites_of[node], {},
+                                site_of)) {
+          return Status::Internal(
+              "node " + std::to_string(n) + " sent an epoch " +
+              std::to_string(epoch_result.epoch) +
+              " result whose sites are not the ones it owns");
         }
-        serve::SiteBatch batch;
-        batch.epoch = decoded.value().epoch;
-        batch.site = static_cast<int>(decoded.value().site);
-        batch.finish = decoded.value().finish;
-        batch.events = std::move(decoded.value().events);
-        if (!queues[static_cast<std::size_t>(n)]->Push(std::move(batch))) {
-          break;  // queue closed: an abort is already in progress
-        }
-        continue;
-      }
-      if (frame.type == FrameType::kBarrier) {
-        Result<BarrierPayload> barrier = DecodeBarrier(frame.payload);
-        if (!barrier.ok()) {
-          fail(barrier.status());
-          break;
-        }
-        if (fleet != nullptr && barrier.value().steady_micros > 0) {
+        const std::uint64_t heartbeat = decoded.value().steady_micros;
+        if (fleet != nullptr && heartbeat > 0) {
           const std::int64_t gap =
               static_cast<std::int64_t>(SteadyNowMicros()) -
-              static_cast<std::int64_t>(barrier.value().steady_micros);
+              static_cast<std::int64_t>(heartbeat);
           fleet->heartbeat_gap_us->Record(
               gap > 0 ? static_cast<std::uint64_t>(gap) : 1);
         }
         {
           std::lock_guard<std::mutex> lock(mu);
-          ++barriers[static_cast<std::size_t>(n)];
-          if (barrier.value().finish) {
-            finished[static_cast<std::size_t>(n)] = 1;
-          }
+          ++barriers[node];
+          if (epoch_result.finish) finished[node] = 1;
           if (fleet != nullptr) {
             // Slow-node detection: how far each node trails the furthest
             // barrier. The max-lag gauge is a running high-water mark;
@@ -225,47 +191,68 @@ DistResult RunDistCoordinator(const serve::Workload& workload,
           }
         }
         cv.notify_all();
-        continue;
-      }
-      if (frame.type == FrameType::kHandoff) {
-        Result<HandoffPayload> handoff = DecodeHandoff(frame.payload);
-        if (!handoff.ok()) {
-          fail(handoff.status());
-          break;
+        // Only fail() closes the queue, so a refused push means the run is
+        // already aborting and this status will not replace its error.
+        if (!queues[node]->Push(std::move(epoch_result))) {
+          return Status::Internal("merge queue closed");
         }
+        return Status::OK();
+      }
+      case FrameType::kHandoff: {
+        Result<HandoffPayload> handoff = DecodeHandoff(frame.payload);
+        if (!handoff.ok()) return handoff.status();
         {
           std::lock_guard<std::mutex> lock(mu);
           ready_handoffs[handoff.value().hop] = std::move(handoff.value());
         }
         cv.notify_all();
-        continue;
+        return Status::OK();
       }
-      if (frame.type == FrameType::kStatsReport) {
+      case FrameType::kStatsReport: {
         Result<StatsReportPayload> report = DecodeStatsReport(frame.payload);
-        if (!report.ok()) {
-          fail(report.status());
-          break;
-        }
+        if (!report.ok()) return report.status();
         if (report.value().node_id != static_cast<std::uint32_t>(n)) {
-          fail(Status::Internal("stats report node identity mismatch"));
-          break;
+          return Status::Internal("stats report node identity mismatch");
         }
         // Reports are cumulative; keep only the latest per node. Each
         // reader writes its own slot, but take the lock anyway so the
         // final result read is ordered after every store.
-        if (static_cast<std::size_t>(n) < result.node_stats.size()) {
+        if (node < result.node_stats.size()) {
           std::lock_guard<std::mutex> lock(mu);
-          result.node_stats[static_cast<std::size_t>(n)] =
-              std::move(report.value().snapshot);
+          result.node_stats[node] = std::move(report.value().snapshot);
         }
-        continue;
+        return Status::OK();
       }
-      fail(Status::Internal(std::string("unexpected ") + ToString(frame.type) +
-                            " frame from node"));
-      break;
+      case FrameType::kEpochWork:
+        break;
+    }
+    return Status::Internal(std::string("unexpected ") +
+                            ToString(frame.type) + " frame from node");
+  };
+
+  auto reader = [&](int n) {
+    const auto node = static_cast<std::size_t>(n);
+    for (;;) {
+      Frame frame;
+      bool eof = false;
+      Status status = RecvFrame(conns[node], &frame, &eof);
+      if (status.ok() && eof) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (finished[node] == 0) {
+          status = Status::Internal("node " + std::to_string(n) +
+                                    " disconnected before finish");
+        }
+      } else if (status.ok()) {
+        status = handle(n, frame);
+      }
+      if (!status.ok()) {
+        fail(std::move(status));
+        break;
+      }
+      if (eof) break;
     }
     // The merger treats a closed, drained queue as this node's stream end.
-    queues[static_cast<std::size_t>(n)]->Close();
+    queues[node]->Close();
   };
 
   // Hop indexes by arrival epoch (schedule order). Hops arriving at or
@@ -285,7 +272,9 @@ DistResult RunDistCoordinator(const serve::Workload& workload,
 
   obs::Counter* barrier_waits = BarrierWaitsCounter();
 
-  auto feeder = [&] {
+  /// Streams every node its handoffs and work; returns the first send
+  /// error (OK when it stops because the run aborted).
+  auto feed = [&]() -> Status {
     for (Epoch epoch = 0; epoch < workload.num_epochs; ++epoch) {
       for (int n = 0; n < num_nodes; ++n) {
         {
@@ -298,7 +287,7 @@ DistResult RunDistCoordinator(const serve::Workload& workload,
                      epoch - barriers[static_cast<std::size_t>(n)] < window;
             });
           }
-          if (aborted) return;
+          if (aborted) return Status::OK();
         }
 
         // Forward the handoffs arriving at this node this epoch, in
@@ -314,7 +303,7 @@ DistResult RunDistCoordinator(const serve::Workload& workload,
               cv.wait(lock, [&] {
                 return aborted || ready_handoffs.count(hop_index) != 0;
               });
-              if (aborted) return;
+              if (aborted) return Status::OK();
               auto it = ready_handoffs.find(hop_index);
               payload = std::move(it->second);
               ready_handoffs.erase(it);
@@ -323,12 +312,8 @@ DistResult RunDistCoordinator(const serve::Workload& workload,
             result.handoff_objects += payload.objects.size();
             std::vector<std::uint8_t> bytes;
             EncodeHandoff(payload, &bytes);
-            Status status = SendFrame(conns[static_cast<std::size_t>(n)],
-                                      FrameType::kHandoff, bytes);
-            if (!status.ok()) {
-              fail(std::move(status));
-              return;
-            }
+            SPIRE_RETURN_NOT_OK(SendFrame(conns[static_cast<std::size_t>(n)],
+                                          FrameType::kHandoff, bytes));
           }
         }
 
@@ -359,12 +344,8 @@ DistResult RunDistCoordinator(const serve::Workload& workload,
         }
         std::vector<std::uint8_t> bytes;
         EncodeEpochWork(work, &bytes);
-        Status status = SendFrame(conns[static_cast<std::size_t>(n)],
-                                  FrameType::kEpochWork, bytes);
-        if (!status.ok()) {
-          fail(std::move(status));
-          return;
-        }
+        SPIRE_RETURN_NOT_OK(SendFrame(conns[static_cast<std::size_t>(n)],
+                                      FrameType::kEpochWork, bytes));
       }
     }
     for (int n = 0; n < num_nodes; ++n) {
@@ -373,13 +354,10 @@ DistResult RunDistCoordinator(const serve::Workload& workload,
       work.finish = true;
       std::vector<std::uint8_t> bytes;
       EncodeEpochWork(work, &bytes);
-      Status status = SendFrame(conns[static_cast<std::size_t>(n)],
-                                FrameType::kEpochWork, bytes);
-      if (!status.ok()) {
-        fail(std::move(status));
-        return;
-      }
+      SPIRE_RETURN_NOT_OK(SendFrame(conns[static_cast<std::size_t>(n)],
+                                    FrameType::kEpochWork, bytes));
     }
+    return Status::OK();
   };
 
   std::vector<std::thread> threads;
@@ -406,13 +384,16 @@ DistResult RunDistCoordinator(const serve::Workload& workload,
   for (int n = 0; n < num_nodes; ++n) {
     threads.emplace_back(reader, n);
   }
-  std::thread feed(feeder);
+  std::thread feeder([&] {
+    Status status = feed();
+    if (!status.ok()) fail(std::move(status));
+  });
 
   serve::EventMerger merger;
-  Status drain = merger.Drain(queue_ptrs, batches_per_queue, &result.events);
+  Status drain = merger.Drain(queue_ptrs, &result.events);
   if (!drain.ok()) fail(drain);
 
-  feed.join();
+  feeder.join();
   for (std::thread& thread : threads) thread.join();
 
   {

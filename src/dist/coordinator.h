@@ -2,17 +2,18 @@
 //
 // The coordinator owns the raw workload and the transfer schedule. It
 // feeds every node one EpochWork frame per epoch (flow-controlled by the
-// nodes' Barrier frames), routes captured Handoff frames from the
+// nodes' EpochResult frames), routes captured Handoff frames from the
 // departure node to the arrival node *before* that node's arrival epoch,
-// and merges the returned SiteBatch frames with serve::EventMerger — so the
-// merged stream is byte-identical to a serial per-site run for any node
-// count and transfer schedule.
+// and merges the returned EpochResult frames with serve::EventMerger — so
+// the merged stream is byte-identical to a serial per-site run for any
+// node count and transfer schedule. An EpochResult whose sites are not
+// exactly the node's SitesOfNode fails the run with a named error.
 //
-// Deadlock freedom: a node emits all frames of epoch d (batches, captured
-// handoffs, barrier) before touching epoch d+1, hops depart strictly
-// before they arrive, and the coordinator forwards a hop's handoff on the
-// same FIFO connection ahead of the arrival epoch's work — so the handoff
-// a node waits for is always already in flight.
+// Deadlock freedom: a node emits all frames of epoch d (captured
+// handoffs, then its EpochResult) before touching epoch d+1, hops depart
+// strictly before they arrive, and the coordinator forwards a hop's
+// handoff on the same FIFO connection ahead of the arrival epoch's work —
+// so the handoff a node waits for is always already in flight.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +39,7 @@ std::vector<int> SitesOfNode(int node, int num_sites, int num_nodes);
 struct DistOptions {
   int num_nodes = 2;
   /// Per-node flow-control window: epochs of work in flight beyond the
-  /// node's last barrier.
+  /// node's last EpochResult.
   std::size_t inflight_epochs = 64;
   /// Stats cadence announced in the coordinator's Hello: nodes ship a
   /// StatsReport every N epochs plus a final one at shutdown (0 = never).

@@ -1,6 +1,5 @@
 #include "dist/node.h"
 
-#include <chrono>
 #include <deque>
 #include <map>
 #include <memory>
@@ -27,31 +26,6 @@ const NodeInstruments* GetInstruments() {
   };
   return &instruments;
 }
-
-std::uint64_t NowMicros() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// Shifts site-local output locations into the global id space (the same
-/// mapping the serial reference applies).
-void RemapLocations(EventStream* events, LocationId offset) {
-  if (offset == 0) return;
-  for (Event& event : *events) {
-    if (event.location != kUnknownLocation) {
-      event.location = static_cast<LocationId>(event.location + offset);
-    }
-  }
-}
-
-/// One hop captured this epoch; lives in a deque so the sink address
-/// handed to StageDeparture stays stable.
-struct HopCapture {
-  CaptureOrder order;
-  std::vector<ObjectHandoff> objects;
-};
 
 }  // namespace
 
@@ -82,7 +56,7 @@ Status RunDistNode(const NodeConfig& config, Conn* conn) {
   // machine, where the steady clock is shared).
   std::uint32_t stats_interval = 0;
   {
-    const std::uint64_t t0 = NowMicros();
+    const std::uint64_t t0 = SteadyNowMicros();
     HelloPayload hello;
     hello.node_id = static_cast<std::uint32_t>(config.node_id);
     for (int site : config.sites) {
@@ -103,7 +77,7 @@ Status RunDistNode(const NodeConfig& config, Conn* conn) {
     }
     Result<HelloPayload> peer = DecodeHello(frame.payload);
     if (!peer.ok()) return peer.status();
-    const std::uint64_t t1 = NowMicros();
+    const std::uint64_t t1 = SteadyNowMicros();
 
     // The coordinator's stats cadence turns metrics on before the first
     // instrumented work (and before the instrument fetch below).
@@ -125,25 +99,19 @@ Status RunDistNode(const NodeConfig& config, Conn* conn) {
 
   const NodeInstruments* obs = GetInstruments();
 
-  // One cumulative registry snapshot per cadence tick, plus the final
-  // report just before the finish barrier.
-  auto send_stats = [&](Epoch epoch, bool final_report) -> Status {
-    StatsReportPayload report;
-    report.node_id = static_cast<std::uint32_t>(config.node_id);
-    report.epoch = epoch;
-    report.final_report = final_report;
-    report.snapshot = obs::Registry::Global().TakeSnapshot();
-    std::vector<std::uint8_t> payload;
-    EncodeStatsReport(report, &payload);
-    return SendFrame(conn, FrameType::kStatsReport, payload);
-  };
-
   // Handoffs stashed until their (arrival site, arrival epoch) comes up,
   // in arrival (frame) order.
   std::map<std::pair<int, Epoch>, std::deque<HandoffPayload>> stash;
 
+  // One result per epoch, reused so each site's event buffer keeps its
+  // capacity across epochs.
+  EpochResultPayload out;
+  for (int site : config.sites) {
+    out.result.site_events.emplace_back(static_cast<std::uint32_t>(site),
+                                        EventStream{});
+  }
+
   Epoch next_epoch = 0;
-  EventStream scratch;
   for (;;) {
     Frame frame;
     bool eof = false;
@@ -168,51 +136,30 @@ Status RunDistNode(const NodeConfig& config, Conn* conn) {
     Result<EpochWorkPayload> decoded = DecodeEpochWork(frame.payload);
     if (!decoded.ok()) return decoded.status();
     EpochWorkPayload& work = decoded.value();
-
-    if (work.finish) {
-      for (std::size_t i = 0; i < config.sites.size(); ++i) {
-        const int site = config.sites[i];
-        scratch.clear();
-        pipelines[i]->Finish(work.epoch, &scratch);
-        RemapLocations(
-            &scratch,
-            workload.sites[static_cast<std::size_t>(site)].location_offset);
-        SiteBatchPayload batch;
-        batch.epoch = work.epoch;
-        batch.site = static_cast<std::uint32_t>(site);
-        batch.finish = true;
-        batch.events = std::move(scratch);
-        std::vector<std::uint8_t> payload;
-        EncodeSiteBatch(batch, &payload);
-        SPIRE_RETURN_NOT_OK(SendFrame(conn, FrameType::kSiteBatch, payload));
-        scratch = std::move(batch.events);
+    if (!work.finish) {
+      if (work.epoch != next_epoch) {
+        return Status::Internal("epoch work out of order");
       }
-      if (stats_interval > 0) {
-        SPIRE_RETURN_NOT_OK(send_stats(work.epoch, /*final_report=*/true));
-      }
-      BarrierPayload barrier;
-      barrier.epoch = work.epoch;
-      barrier.finish = true;
-      barrier.steady_micros = NowMicros();
-      std::vector<std::uint8_t> payload;
-      EncodeBarrier(barrier, &payload);
-      return SendFrame(conn, FrameType::kBarrier, payload);
+      ++next_epoch;
     }
 
-    if (work.epoch != next_epoch) {
-      return Status::Internal("epoch work out of order");
-    }
-    ++next_epoch;
-
-    std::deque<HopCapture> captured;
+    // This epoch's departing hops; a deque keeps each sink address handed
+    // to StageDeparture stable.
+    std::deque<HandoffPayload> captured;
     for (std::size_t i = 0; i < config.sites.size(); ++i) {
       const int site = config.sites[i];
       SpirePipeline& pipeline = *pipelines[i];
+      EventStream& events = out.result.site_events[i].second;
+      events.clear();
+      if (work.finish) {
+        pipeline.Finish(work.epoch, &events);
+        continue;
+      }
 
       // Arrivals first: splice shipped objects in ahead of this epoch.
       auto arrivals = stash.find({site, work.epoch});
       if (arrivals != stash.end()) {
-        const std::uint64_t now_us = NowMicros();
+        const std::uint64_t now_us = SteadyNowMicros();
         for (const HandoffPayload& handoff : arrivals->second) {
           for (const ObjectHandoff& object : handoff.objects) {
             pipeline.ImplantHandoff(object);
@@ -235,17 +182,19 @@ Status RunDistNode(const NodeConfig& config, Conn* conn) {
       }
 
       // Departures: stage this epoch's capture orders for this site.
-      for (CaptureOrder& order : work.captures) {
+      for (const CaptureOrder& order : work.captures) {
         if (static_cast<int>(order.from_site) != site) continue;
-        captured.push_back(HopCapture{std::move(order), {}});
-        pipeline.StageDeparture(captured.back().order.objects,
-                                &captured.back().objects);
+        HandoffPayload& handoff = captured.emplace_back();
+        handoff.hop = order.hop;
+        handoff.to_site = order.to_site;
+        handoff.arrive_epoch = order.arrive_epoch;
+        handoff.span_id = order.hop;
+        pipeline.StageDeparture(order.objects, &handoff.objects);
         if (obs::Tracer::Global().active()) {
           // Open the hop's end-to-end span: capture here, splice on the
           // arrival node. The global hop index is the span id.
           obs::Tracer::Global().RecordAsync("handoff", "hop", 'b',
-                                            captured.back().order.hop,
-                                            work.epoch);
+                                            handoff.span_id, work.epoch);
         }
       }
 
@@ -256,44 +205,40 @@ Status RunDistNode(const NodeConfig& config, Conn* conn) {
           break;
         }
       }
-      scratch.clear();
-      pipeline.ProcessEpoch(work.epoch, std::move(readings), &scratch);
-      RemapLocations(
-          &scratch,
-          workload.sites[static_cast<std::size_t>(site)].location_offset);
-
-      SiteBatchPayload batch;
-      batch.epoch = work.epoch;
-      batch.site = static_cast<std::uint32_t>(site);
-      batch.events = std::move(scratch);
-      std::vector<std::uint8_t> payload;
-      EncodeSiteBatch(batch, &payload);
-      SPIRE_RETURN_NOT_OK(SendFrame(conn, FrameType::kSiteBatch, payload));
-      scratch = std::move(batch.events);
+      pipeline.ProcessEpoch(work.epoch, std::move(readings), &events);
+    }
+    for (auto& [site, events] : out.result.site_events) {
+      serve::RemapLocations(workload.sites[site].location_offset, &events);
     }
 
-    // Ship this epoch's captures, then the barrier.
-    for (HopCapture& capture : captured) {
-      HandoffPayload handoff;
-      handoff.hop = capture.order.hop;
-      handoff.to_site = capture.order.to_site;
-      handoff.arrive_epoch = capture.order.arrive_epoch;
-      handoff.capture_micros = NowMicros();
-      handoff.span_id = capture.order.hop;
-      handoff.objects = std::move(capture.objects);
+    // Ship this epoch's captures, then any stats report, then the result
+    // last: it is the epoch's barrier.
+    for (HandoffPayload& handoff : captured) {
+      handoff.capture_micros = SteadyNowMicros();
       std::vector<std::uint8_t> payload;
       EncodeHandoff(handoff, &payload);
       SPIRE_RETURN_NOT_OK(SendFrame(conn, FrameType::kHandoff, payload));
     }
-    if (stats_interval > 0 && (work.epoch + 1) % stats_interval == 0) {
-      SPIRE_RETURN_NOT_OK(send_stats(work.epoch, /*final_report=*/false));
+    if (stats_interval > 0 &&
+        (work.finish || (work.epoch + 1) % stats_interval == 0)) {
+      // A cumulative registry snapshot per cadence tick, plus the final
+      // report with the finish result.
+      StatsReportPayload report;
+      report.node_id = static_cast<std::uint32_t>(config.node_id);
+      report.epoch = work.epoch;
+      report.final_report = work.finish;
+      report.snapshot = obs::Registry::Global().TakeSnapshot();
+      std::vector<std::uint8_t> payload;
+      EncodeStatsReport(report, &payload);
+      SPIRE_RETURN_NOT_OK(SendFrame(conn, FrameType::kStatsReport, payload));
     }
-    BarrierPayload barrier;
-    barrier.epoch = work.epoch;
-    barrier.steady_micros = NowMicros();
+    out.result.epoch = work.epoch;
+    out.result.finish = work.finish;
+    out.steady_micros = SteadyNowMicros();
     std::vector<std::uint8_t> payload;
-    EncodeBarrier(barrier, &payload);
-    SPIRE_RETURN_NOT_OK(SendFrame(conn, FrameType::kBarrier, payload));
+    EncodeEpochResult(out, &payload);
+    SPIRE_RETURN_NOT_OK(SendFrame(conn, FrameType::kEpochResult, payload));
+    if (work.finish) return Status::OK();
   }
 }
 

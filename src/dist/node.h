@@ -1,7 +1,7 @@
 // The node side of the distributed serving protocol: one process (or
 // thread) hosting the full SPIRE pipelines of the sites it owns, fed raw
-// readings over a Conn and returning output events, handoffs, and epoch
-// barriers. See dist/coordinator.h for the other side and DESIGN.md §12
+// readings over a Conn and returning handoffs and one EpochResult per
+// epoch. See dist/coordinator.h for the other side and DESIGN.md §12
 // for the protocol.
 #pragma once
 
@@ -26,13 +26,15 @@ struct NodeConfig {
   PipelineOptions pipeline;
 };
 
-/// Serves one node over `conn` until the finish barrier: Hello exchange,
-/// then per EpochWork, for every owned site in ascending order — implant
-/// the stashed handoffs arriving at (site, epoch), stage the epoch's
-/// capture orders, process the epoch, and return the site's events as a
-/// SiteBatch — followed by the epoch's captured Handoff frames and a
-/// Barrier. A finish EpochWork flushes every pipeline and ends the run.
-/// Returns the first protocol or transport error.
+/// Serves one node over `conn` until the finish EpochResult: Hello
+/// exchange, then per EpochWork, for every owned site in ascending order —
+/// implant the stashed handoffs arriving at (site, epoch), stage the
+/// epoch's capture orders, and process the epoch. The epoch's captured
+/// Handoff frames go out first, then the StatsReport when the cadence is
+/// due, then one EpochResult carrying every site's events: the epoch's
+/// last frame and its barrier. A finish EpochWork flushes every pipeline
+/// through the same path and ends the run. Returns the first protocol or
+/// transport error.
 Status RunDistNode(const NodeConfig& config, Conn* conn);
 
 }  // namespace spire::dist

@@ -23,17 +23,6 @@ int ClampNodes(int num_nodes, std::size_t num_sites) {
   return std::max(1, std::min(num_nodes, max_nodes));
 }
 
-void RemapLocations(EventStream* events, std::size_t first,
-                    LocationId offset) {
-  if (offset == 0) return;
-  for (std::size_t i = first; i < events->size(); ++i) {
-    Event& event = (*events)[i];
-    if (event.location != kUnknownLocation) {
-      event.location = static_cast<LocationId>(event.location + offset);
-    }
-  }
-}
-
 }  // namespace
 
 Result<serve::Workload> ToWorkload(const TransferTrace& trace) {
@@ -111,14 +100,14 @@ EventStream RunDistReference(const serve::Workload& workload,
               : EpochReadings{};
       scratch.clear();
       pipeline.ProcessEpoch(epoch, std::move(readings), &scratch);
-      RemapLocations(&scratch, 0, sw.location_offset);
+      serve::RemapLocations(sw.location_offset, &scratch);
       out.insert(out.end(), scratch.begin(), scratch.end());
     }
   }
   for (std::size_t site = 0; site < workload.sites.size(); ++site) {
     scratch.clear();
     pipelines[site]->Finish(workload.num_epochs, &scratch);
-    RemapLocations(&scratch, 0, workload.sites[site].location_offset);
+    serve::RemapLocations(workload.sites[site].location_offset, &scratch);
     out.insert(out.end(), scratch.begin(), scratch.end());
   }
   return out;

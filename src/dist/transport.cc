@@ -16,11 +16,6 @@ namespace spire::dist {
 
 namespace {
 
-/// Per-type traffic counter suffixes, indexed by FrameType value.
-constexpr const char* kFrameTypeSuffix[kNumFrameTypes] = {
-    "hello", "epoch_work", "site_batch", "barrier", "handoff", "stats_report",
-};
-
 struct TransportInstruments {
   obs::Counter* frames;
   obs::Counter* bytes;
@@ -36,7 +31,7 @@ const TransportInstruments* GetInstruments() {
     out.frames = registry.GetCounter("dist", "frames");
     out.bytes = registry.GetCounter("dist", "bytes");
     for (int i = 0; i < kNumFrameTypes; ++i) {
-      const std::string suffix = kFrameTypeSuffix[i];
+      const std::string suffix = ToString(static_cast<FrameType>(i));
       out.frames_by_type[i] = registry.GetCounter("dist", "frames_" + suffix);
       out.bytes_by_type[i] = registry.GetCounter("dist", "bytes_" + suffix);
     }

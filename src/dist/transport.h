@@ -41,7 +41,7 @@ class Conn {
 };
 
 /// A connected pair of in-process ends: frames sent on one pop out of the
-/// other, FIFO, unbounded (flow control is the protocol's barrier window).
+/// other, FIFO, unbounded (flow control is the protocol's EpochResult window).
 std::pair<std::unique_ptr<Conn>, std::unique_ptr<Conn>> MakeLoopbackPair();
 
 /// A Conn over a byte-stream fd (socketpair, pipe pair). Takes ownership

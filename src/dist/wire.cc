@@ -211,17 +211,15 @@ Status DecodeObjectHandoff(PayloadReader& reader, ObjectHandoff* handoff) {
 const char* ToString(FrameType type) {
   switch (type) {
     case FrameType::kHello:
-      return "Hello";
+      return "hello";
     case FrameType::kEpochWork:
-      return "EpochWork";
-    case FrameType::kSiteBatch:
-      return "SiteBatch";
-    case FrameType::kBarrier:
-      return "Barrier";
+      return "epoch_work";
+    case FrameType::kEpochResult:
+      return "epoch_result";
     case FrameType::kHandoff:
-      return "Handoff";
+      return "handoff";
     case FrameType::kStatsReport:
-      return "StatsReport";
+      return "stats_report";
   }
   return "?";
 }
@@ -392,65 +390,60 @@ Result<EpochWorkPayload> DecodeEpochWork(
   return work;
 }
 
-void EncodeSiteBatch(const SiteBatchPayload& payload,
-                     std::vector<std::uint8_t>* out) {
-  PutEpoch(payload.epoch, out);
-  PutVarint64(payload.site, out);
-  PutBool(payload.finish, out);
-  PutVarint64(payload.events.size(), out);
-  for (const Event& event : payload.events) {
-    out->push_back(static_cast<std::uint8_t>(event.type));
-    PutVarint64(event.object, out);
-    PutVarint64(event.location, out);
-    PutVarint64(event.container, out);
-    PutEpoch(event.start, out);
-    PutEpoch(event.end, out);
+void EncodeEpochResult(const EpochResultPayload& payload,
+                       std::vector<std::uint8_t>* out) {
+  PutEpoch(payload.result.epoch, out);
+  PutBool(payload.result.finish, out);
+  PutVarint64(payload.steady_micros, out);
+  PutVarint64(payload.result.site_events.size(), out);
+  for (const auto& [site, events] : payload.result.site_events) {
+    PutVarint64(site, out);
+    PutVarint64(events.size(), out);
+    for (const Event& event : events) {
+      out->push_back(static_cast<std::uint8_t>(event.type));
+      PutVarint64(event.object, out);
+      PutVarint64(event.location, out);
+      PutVarint64(event.container, out);
+      PutEpoch(event.start, out);
+      PutEpoch(event.end, out);
+    }
   }
 }
 
-Result<SiteBatchPayload> DecodeSiteBatch(
+Result<EpochResultPayload> DecodeEpochResult(
     const std::vector<std::uint8_t>& payload) {
   PayloadReader reader(payload);
-  SiteBatchPayload batch;
-  SPIRE_RETURN_NOT_OK(reader.GetEpoch(&batch.epoch));
+  EpochResultPayload decoded;
+  serve::EpochResult& result = decoded.result;
+  SPIRE_RETURN_NOT_OK(reader.GetEpoch(&result.epoch));
+  SPIRE_RETURN_NOT_OK(reader.GetBool(&result.finish));
+  SPIRE_RETURN_NOT_OK(reader.GetU64(&decoded.steady_micros));
   std::uint64_t raw = 0;
-  SPIRE_RETURN_NOT_OK(reader.GetBounded(UINT32_MAX, "site index", &raw));
-  batch.site = static_cast<std::uint32_t>(raw);
-  SPIRE_RETURN_NOT_OK(reader.GetBool(&batch.finish));
   std::size_t count = 0;
-  SPIRE_RETURN_NOT_OK(reader.GetCount("event", &count));
-  batch.events.resize(count);
-  for (Event& event : batch.events) {
-    SPIRE_RETURN_NOT_OK(
-        reader.GetBounded(static_cast<std::uint64_t>(EventType::kMissing),
-                          "event type", &raw));
-    event.type = static_cast<EventType>(raw);
-    SPIRE_RETURN_NOT_OK(reader.GetU64(&event.object));
-    SPIRE_RETURN_NOT_OK(reader.GetBounded(kUnknownLocation, "location", &raw));
-    event.location = static_cast<LocationId>(raw);
-    SPIRE_RETURN_NOT_OK(reader.GetU64(&event.container));
-    SPIRE_RETURN_NOT_OK(reader.GetEpoch(&event.start));
-    SPIRE_RETURN_NOT_OK(reader.GetEpoch(&event.end));
+  SPIRE_RETURN_NOT_OK(reader.GetCount("site events", &count));
+  result.site_events.resize(count);
+  for (auto& [site, events] : result.site_events) {
+    SPIRE_RETURN_NOT_OK(reader.GetBounded(UINT32_MAX, "site index", &raw));
+    site = static_cast<std::uint32_t>(raw);
+    std::size_t events_count = 0;
+    SPIRE_RETURN_NOT_OK(reader.GetCount("event", &events_count));
+    events.resize(events_count);
+    for (Event& event : events) {
+      SPIRE_RETURN_NOT_OK(
+          reader.GetBounded(static_cast<std::uint64_t>(EventType::kMissing),
+                            "event type", &raw));
+      event.type = static_cast<EventType>(raw);
+      SPIRE_RETURN_NOT_OK(reader.GetU64(&event.object));
+      SPIRE_RETURN_NOT_OK(
+          reader.GetBounded(kUnknownLocation, "location", &raw));
+      event.location = static_cast<LocationId>(raw);
+      SPIRE_RETURN_NOT_OK(reader.GetU64(&event.container));
+      SPIRE_RETURN_NOT_OK(reader.GetEpoch(&event.start));
+      SPIRE_RETURN_NOT_OK(reader.GetEpoch(&event.end));
+    }
   }
   SPIRE_RETURN_NOT_OK(reader.Finish());
-  return batch;
-}
-
-void EncodeBarrier(const BarrierPayload& payload,
-                   std::vector<std::uint8_t>* out) {
-  PutEpoch(payload.epoch, out);
-  PutBool(payload.finish, out);
-  PutVarint64(payload.steady_micros, out);
-}
-
-Result<BarrierPayload> DecodeBarrier(const std::vector<std::uint8_t>& payload) {
-  PayloadReader reader(payload);
-  BarrierPayload barrier;
-  SPIRE_RETURN_NOT_OK(reader.GetEpoch(&barrier.epoch));
-  SPIRE_RETURN_NOT_OK(reader.GetBool(&barrier.finish));
-  SPIRE_RETURN_NOT_OK(reader.GetU64(&barrier.steady_micros));
-  SPIRE_RETURN_NOT_OK(reader.Finish());
-  return barrier;
+  return decoded;
 }
 
 void EncodeHandoff(const HandoffPayload& payload,

@@ -10,7 +10,7 @@
 // store/varint.h (signed values zigzag-coded); doubles travel as their
 // 8-byte little-endian IEEE-754 bit pattern, which round-trips exactly.
 //
-// Six frame types carry the per-site feed/merge protocol plus the
+// Five frame types carry the per-site feed/merge protocol plus the
 // cross-site object handoff and fleet observability:
 //
 //   Hello       both directions; version/identity check at connection open,
@@ -19,10 +19,11 @@
 //   EpochWork   coordinator -> node; one epoch's raw readings for every
 //               site the node owns, plus capture orders for hops departing
 //               this epoch. A finish EpochWork closes the stream.
-//   SiteBatch   node -> coordinator; one site's output events for one
-//               epoch (serve::SiteBatch over the wire).
-//   Barrier     node -> coordinator; "epoch done" for flow control, with a
-//               heartbeat stamp for slow-node detection.
+//   EpochResult node -> coordinator; one epoch's output events for every
+//               site the node owns (serve::EpochResult over the wire). The
+//               last frame a node sends for an epoch, so it is also the
+//               flow-control barrier, with a heartbeat stamp for slow-node
+//               detection.
 //   Handoff     both directions; the captured per-object inference state
 //               of one hop (spire/handoff.h), shipped from the departure
 //               node through the coordinator to the arrival node. Carries
@@ -42,7 +43,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "common/wire.h"
-#include "compress/event.h"
+#include "serve/merger.h"
 #include "spire/handoff.h"
 #include "stream/reading.h"
 
@@ -52,16 +53,16 @@ namespace spire::dist {
 enum class FrameType : std::uint8_t {
   kHello = 0,
   kEpochWork = 1,
-  kSiteBatch = 2,
-  kBarrier = 3,
-  kHandoff = 4,
-  kStatsReport = 5,
+  kEpochResult = 2,
+  kHandoff = 3,
+  kStatsReport = 4,
 };
 
 /// Number of frame types (per-type transport counters size to this).
-inline constexpr int kNumFrameTypes = 6;
+inline constexpr int kNumFrameTypes = 5;
 
-/// Human-readable frame type name.
+/// Frame type name for errors and for the per-type transport counters
+/// (dist/frames_<name>, dist/bytes_<name>).
 const char* ToString(FrameType type);
 
 /// Fixed header size: marker u32 | type u8 | flags u8 | version u16 |
@@ -147,7 +148,7 @@ struct CaptureOrder {
 /// of every site the node owns (ascending site order; sites past their
 /// stream end are omitted — an omitted site processes an empty epoch).
 /// A finish message carries no readings or captures; the node flushes
-/// every pipeline and exits after its finish barrier.
+/// every pipeline and exits after its finish EpochResult.
 struct EpochWorkPayload {
   Epoch epoch = kNeverEpoch;
   bool finish = false;
@@ -155,22 +156,16 @@ struct EpochWorkPayload {
   std::vector<CaptureOrder> captures;
 };
 
-/// serve::SiteBatch over the wire. Events are self-contained records (not
-/// the stateful SPEV archive encoding): the merge path re-encodes nothing.
-struct SiteBatchPayload {
-  Epoch epoch = kNeverEpoch;
-  std::uint32_t site = 0;
-  bool finish = false;
-  EventStream events;
-};
-
-/// Node-side epoch completion marker (flow control). `steady_micros` is
-/// the node's steady-clock stamp at send — the heartbeat the coordinator
-/// folds into the fleet/heartbeat_gap_us histogram and its per-node
-/// epoch-lag gauges (slow-node detection).
-struct BarrierPayload {
-  Epoch epoch = kNeverEpoch;
-  bool finish = false;
+/// serve::EpochResult over the wire: one node's events for one epoch (or
+/// its finish flush), one entry per owned site in ascending site order,
+/// and the node's epoch completion marker (flow control). Events are
+/// self-contained records (not the stateful SPEV archive encoding): the
+/// merge path re-encodes nothing. `steady_micros` is the node's
+/// steady-clock stamp at send — the heartbeat the coordinator folds into
+/// the fleet/heartbeat_gap_us histogram and its per-node epoch-lag gauges
+/// (slow-node detection).
+struct EpochResultPayload {
+  serve::EpochResult result;
   std::uint64_t steady_micros = 0;
 };
 
@@ -194,7 +189,7 @@ struct HandoffPayload {
 };
 
 /// One node's full obs registry snapshot. `final_report` marks the
-/// shutdown report (sent just before the finish Barrier); periodic
+/// shutdown report (sent just before the finish EpochResult); periodic
 /// reports carry the cumulative state, so the coordinator keeps only the
 /// latest per node.
 struct StatsReportPayload {
@@ -212,14 +207,10 @@ void EncodeEpochWork(const EpochWorkPayload& payload,
 Result<EpochWorkPayload> DecodeEpochWork(
     const std::vector<std::uint8_t>& payload);
 
-void EncodeSiteBatch(const SiteBatchPayload& payload,
-                     std::vector<std::uint8_t>* out);
-Result<SiteBatchPayload> DecodeSiteBatch(
+void EncodeEpochResult(const EpochResultPayload& payload,
+                       std::vector<std::uint8_t>* out);
+Result<EpochResultPayload> DecodeEpochResult(
     const std::vector<std::uint8_t>& payload);
-
-void EncodeBarrier(const BarrierPayload& payload,
-                   std::vector<std::uint8_t>* out);
-Result<BarrierPayload> DecodeBarrier(const std::vector<std::uint8_t>& payload);
 
 void EncodeHandoff(const HandoffPayload& payload,
                    std::vector<std::uint8_t>* out);

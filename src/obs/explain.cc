@@ -35,10 +35,13 @@ std::string ExplainLog::ToJsonLine(const MatchRecord& record) {
   out << "{\"kind\":\"match\",\"pattern\":\"" << record.pattern
       << "\",\"binding\":{";
   for (std::size_t i = 0; i < record.binding.size(); ++i) {
-    const std::string var = i < record.variables.size()
-                                ? record.variables[i]
-                                : "v" + std::to_string(i);
-    out << (i > 0 ? "," : "") << "\"" << var << "\":" << record.binding[i];
+    out << (i > 0 ? "," : "") << "\"";
+    if (i < record.variables.size()) {
+      out << record.variables[i];
+    } else {
+      out << "v" << i;
+    }
+    out << "\":" << record.binding[i];
   }
   out << "},\"step_epochs\":[";
   for (std::size_t i = 0; i < record.step_epochs.size(); ++i) {

@@ -28,59 +28,50 @@ const GlobalInstruments* GetGlobalInstruments() {
 
 }  // namespace
 
-Status EventMerger::Drain(const std::vector<BoundedQueue<SiteBatch>*>& queues,
-                          const std::vector<std::size_t>& batches_per_queue,
+Status EventMerger::Drain(const std::vector<BoundedQueue<EpochResult>*>& queues,
                           EventStream* out) {
-  if (queues.size() != batches_per_queue.size()) {
-    return Status::InvalidArgument("merger: queue/site-count size mismatch");
-  }
+  if (queues.empty()) return Status::InvalidArgument("merger: no queues");
 
-  std::vector<SiteBatch> round;
+  std::vector<std::pair<std::uint32_t, EventStream>> round;
   for (Epoch epoch = 0;; ++epoch) {
     obs::ScopedSpan round_span("serve", "merge_round", epoch);
     round.clear();
     bool finish = false;
-    bool first_batch = true;
     for (std::size_t q = 0; q < queues.size(); ++q) {
-      for (std::size_t k = 0; k < batches_per_queue[q]; ++k) {
-        std::optional<SiteBatch> batch = [&] {
-          obs::ScopedSpan span("serve", "merge_wait", epoch);
-          return queues[q]->Pop();
-        }();
-        if (!batch.has_value()) {
-          return Status::Internal(
-              "merger: queue " + std::to_string(q) +
-              " closed before its finish batch (epoch " +
-              std::to_string(epoch) + ")");
-        }
-        if (batch->epoch != epoch) {
-          return Status::Internal(
-              "merger: expected epoch " + std::to_string(epoch) +
-              " from queue " + std::to_string(q) + ", got " +
-              std::to_string(batch->epoch));
-        }
-        // The finish round is uniform: every producer flushes at the same
-        // epoch, so mixed rounds are a protocol violation.
-        if (first_batch) {
-          finish = batch->finish;
-          first_batch = false;
-        } else if (batch->finish != finish) {
-          return Status::Internal("merger: mixed finish round at epoch " +
-                                  std::to_string(epoch));
-        }
-        round.push_back(std::move(*batch));
+      std::optional<EpochResult> result = [&] {
+        obs::ScopedSpan span("serve", "merge_wait", epoch);
+        return queues[q]->Pop();
+      }();
+      if (!result.has_value()) {
+        return Status::Internal(
+            "merger: queue " + std::to_string(q) +
+            " closed before its finish result (epoch " +
+            std::to_string(epoch) + ")");
       }
+      if (result->epoch != epoch) {
+        return Status::Internal(
+            "merger: expected epoch " + std::to_string(epoch) +
+            " from queue " + std::to_string(q) + ", got " +
+            std::to_string(result->epoch));
+      }
+      // The finish round is uniform: every producer flushes at the same
+      // epoch, so mixed rounds are a protocol violation.
+      if (q == 0) {
+        finish = result->finish;
+      } else if (result->finish != finish) {
+        return Status::Internal("merger: mixed finish round at epoch " +
+                                std::to_string(epoch));
+      }
+      for (auto& site : result->site_events) round.push_back(std::move(site));
     }
 
     // The epoch barrier is complete: emit in ascending site order, each
     // site's events in its pipeline's emission order.
     std::sort(round.begin(), round.end(),
-              [](const SiteBatch& a, const SiteBatch& b) {
-                return a.site < b.site;
-              });
+              [](const auto& a, const auto& b) { return a.first < b.first; });
     const std::size_t first = out->size();
-    for (SiteBatch& batch : round) {
-      out->insert(out->end(), batch.events.begin(), batch.events.end());
+    for (const auto& [site, events] : round) {
+      out->insert(out->end(), events.begin(), events.end());
     }
     if (const GlobalInstruments* global = GetGlobalInstruments()) {
       global->events_out->Add(out->size() - first);
@@ -93,7 +84,7 @@ Status EventMerger::Drain(const std::vector<BoundedQueue<SiteBatch>*>& queues,
   for (std::size_t q = 0; q < queues.size(); ++q) {
     if (queues[q]->Pop().has_value()) {
       return Status::Internal("merger: queue " + std::to_string(q) +
-                              " delivered batches past the finish round");
+                              " delivered results past the finish round");
     }
   }
   return Status::OK();

@@ -1,11 +1,11 @@
-// EventMerger: epoch-barrier ordered merge of per-site event batches.
+// EventMerger: epoch-barrier ordered merge of per-producer epoch results.
 //
-// Producers emit one SiteBatch per owned site per epoch, in ascending site
-// order, through FIFO queues — so per queue, batches arrive ordered by
-// (epoch, site). The merger forms the epoch barrier: it collects every
-// site's batch for epoch e (blocking on the producer that is still
-// working), concatenates them in ascending site order, and appends the
-// result to the output stream before touching epoch e+1.
+// Each producer (a dist node) emits one EpochResult per epoch through a
+// FIFO queue, carrying the events of every site it owns — so per queue,
+// results arrive ordered by epoch. The merger forms the epoch barrier: it
+// pops one result per queue for epoch e (blocking on the producer that is
+// still working), concatenates the sites' events in ascending site order,
+// and appends them to the output stream before touching epoch e+1.
 //
 // The merged stream is therefore globally ordered by (epoch, site) with
 // each site's intra-epoch emission order preserved — exactly the stream a
@@ -16,6 +16,8 @@
 // oracles) assumes.
 #pragma once
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -25,24 +27,21 @@
 
 namespace spire::serve {
 
-/// One site's output for one epoch (or its finish flush).
-struct SiteBatch {
+/// One producer's output for one epoch (or its finish flush): one
+/// (site, events) entry per site it owns, ascending by site.
+struct EpochResult {
   Epoch epoch = kNeverEpoch;
-  int site = -1;
   bool finish = false;
-  EventStream events;
+  std::vector<std::pair<std::uint32_t, EventStream>> site_events;
 };
 
 class EventMerger {
  public:
-  /// Drains the output queues to completion: collects per-epoch barriers
-  /// until the finish round and appends merged events to `out`.
-  /// `batches_per_queue[q]` is the number of site batches queue q delivers
-  /// per epoch (its producer's site count). Fails on a protocol violation —
-  /// a queue closing before its finish batch or a batch for the wrong
-  /// epoch.
-  Status Drain(const std::vector<BoundedQueue<SiteBatch>*>& queues,
-               const std::vector<std::size_t>& batches_per_queue,
+  /// Drains the output queues to completion: pops one result per queue per
+  /// epoch until the finish round and appends merged events to `out`.
+  /// Fails on a protocol violation — a queue closing before its finish
+  /// result, a result for the wrong epoch, or a mixed finish round.
+  Status Drain(const std::vector<BoundedQueue<EpochResult>*>& queues,
                EventStream* out);
 };
 

@@ -52,4 +52,13 @@ Status NormalizeWorkload(Workload* workload) {
   return Status::OK();
 }
 
+void RemapLocations(LocationId offset, EventStream* events) {
+  if (offset == 0) return;
+  for (Event& event : *events) {
+    if (event.location != kUnknownLocation) {
+      event.location = static_cast<LocationId>(event.location + offset);
+    }
+  }
+}
+
 }  // namespace spire::serve

@@ -27,6 +27,7 @@
 #include "common/epc.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "compress/event.h"
 #include "stream/reader.h"
 #include "stream/reading.h"
 
@@ -66,5 +67,9 @@ Status NormalizeWorkload(Workload* workload);
 /// The site-normalized form of `tag` for site index `site` (identity for
 /// site 0). Exposed for tests and offline tools.
 ObjectId NormalizeTag(int site, ObjectId tag);
+
+/// Shifts a site's output events into the global location space: adds
+/// `offset` (its SiteWorkload::location_offset) to every known location.
+void RemapLocations(LocationId offset, EventStream* events);
 
 }  // namespace spire::serve

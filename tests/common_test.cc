@@ -383,7 +383,9 @@ TEST(LogTest, ConcurrentWritersNeverInterleaveWithinALine) {
   std::vector<std::thread> writers;
   for (int t = 0; t < kThreads; ++t) {
     writers.emplace_back([t] {
-      const std::string component = "w" + std::to_string(t);
+      std::ostringstream name;
+      name << "w" << t;
+      const std::string component = name.str();
       for (int i = 0; i < kLines; ++i) {
         LogInfo(component, "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx");
       }

@@ -5,8 +5,8 @@
 // with cross-site hops and over the no-hop, normalized multi-site
 // workloads `spire_cli serve` runs.
 #include <cstdint>
-#include <iterator>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,6 +17,7 @@
 #include "common/bitvector.h"
 #include "common/wire.h"
 #include "compress/well_formed.h"
+#include "dist/node.h"
 #include "dist/runner.h"
 #include "dist/transport.h"
 #include "dist/wire.h"
@@ -101,10 +102,41 @@ std::vector<std::uint8_t> SampleStatsFrame() {
   return EncodeFrame(FrameType::kStatsReport, payload);
 }
 
-/// One representative frame per hardening sweep: the richest v1 frame
-/// (Handoff) and the v2 StatsReport frame.
+/// A two-site finish result with the heartbeat set.
+EpochResultPayload SampleEpochResult() {
+  EpochResultPayload payload;
+  payload.result.epoch = 13;
+  payload.result.finish = true;
+  payload.steady_micros = 55555555555ull;  // Heartbeat stamp.
+  payload.result.site_events.emplace_back(
+      1u, EventStream{Event::StartLocation(77, 5, 9),
+                      Event::EndLocation(77, 5, 3, 9)});
+  payload.result.site_events.emplace_back(
+      4u, EventStream{Event::StartLocation(78, 6, 13)});
+  return payload;
+}
+
+std::vector<std::uint8_t> SampleEpochResultFrame() {
+  std::vector<std::uint8_t> payload;
+  EncodeEpochResult(SampleEpochResult(), &payload);
+  return EncodeFrame(FrameType::kEpochResult, payload);
+}
+
+/// One representative frame per hardening sweep: the Handoff (the richest
+/// payload), the StatsReport, and the EpochResult.
 std::vector<std::vector<std::uint8_t>> HardeningFrames() {
-  return {SampleFrame(), SampleStatsFrame()};
+  return {SampleFrame(), SampleStatsFrame(), SampleEpochResultFrame()};
+}
+
+/// Recomputes a frame's CRC after a deliberate header patch, so a check
+/// other than the checksum must reject it.
+void FixCrc(std::vector<std::uint8_t>* frame) {
+  const std::uint32_t crc =
+      Crc32(frame->data() + kFrameHeaderBytes,
+            frame->size() - kFrameHeaderBytes, Crc32(frame->data(), 12));
+  for (int i = 0; i < 4; ++i) {
+    (*frame)[12 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
 }
 
 TEST(DistWireTest, FrameRoundTripAllTypes) {
@@ -160,35 +192,16 @@ TEST(DistWireTest, FrameRoundTripAllTypes) {
     EXPECT_EQ(decoded.value().captures[0].arrive_epoch, order.arrive_epoch);
   }
   {
-    SiteBatchPayload batch;
-    batch.epoch = 9;
-    batch.site = 4;
-    batch.events.push_back(Event::StartLocation(77, 5, 9));
-    batch.events.push_back(Event::EndLocation(77, 5, 3, 9));
-    std::vector<std::uint8_t> payload;
-    EncodeSiteBatch(batch, &payload);
-    auto frame = DecodeFrame(EncodeFrame(FrameType::kSiteBatch, payload));
+    const EpochResultPayload result = SampleEpochResult();
+    auto frame = DecodeFrame(SampleEpochResultFrame());
     ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-    auto decoded = DecodeSiteBatch(frame.value().payload);
+    EXPECT_EQ(frame.value().type, FrameType::kEpochResult);
+    auto decoded = DecodeEpochResult(frame.value().payload);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(decoded.value().epoch, batch.epoch);
-    EXPECT_EQ(decoded.value().site, batch.site);
-    EXPECT_EQ(decoded.value().events, batch.events);
-  }
-  {
-    BarrierPayload barrier;
-    barrier.epoch = 13;
-    barrier.finish = true;
-    barrier.steady_micros = 55555555555ull;  // Heartbeat stamp.
-    std::vector<std::uint8_t> payload;
-    EncodeBarrier(barrier, &payload);
-    auto frame = DecodeFrame(EncodeFrame(FrameType::kBarrier, payload));
-    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-    auto decoded = DecodeBarrier(frame.value().payload);
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(decoded.value().epoch, barrier.epoch);
-    EXPECT_TRUE(decoded.value().finish);
-    EXPECT_EQ(decoded.value().steady_micros, barrier.steady_micros);
+    EXPECT_EQ(decoded.value().result.epoch, result.result.epoch);
+    EXPECT_TRUE(decoded.value().result.finish);
+    EXPECT_EQ(decoded.value().steady_micros, result.steady_micros);
+    EXPECT_EQ(decoded.value().result.site_events, result.result.site_events);
   }
   {
     const HandoffPayload handoff = SampleHandoff();
@@ -249,16 +262,23 @@ TEST(DistWireTest, VersionSkewIsNamedInTheError) {
     const std::uint16_t future = kDistProtocolVersion + 1;
     frame[6] = static_cast<std::uint8_t>(future & 0xff);
     frame[7] = static_cast<std::uint8_t>(future >> 8);
-    const std::uint32_t crc =
-        Crc32(frame.data() + kFrameHeaderBytes,
-              frame.size() - kFrameHeaderBytes, Crc32(frame.data(), 12));
-    frame[12] = static_cast<std::uint8_t>(crc & 0xff);
-    frame[13] = static_cast<std::uint8_t>((crc >> 8) & 0xff);
-    frame[14] = static_cast<std::uint8_t>((crc >> 16) & 0xff);
-    frame[15] = static_cast<std::uint8_t>(crc >> 24);
+    FixCrc(&frame);
     auto decoded = DecodeFrame(frame);
     ASSERT_FALSE(decoded.ok());
     EXPECT_NE(decoded.status().ToString().find("version"), std::string::npos)
+        << decoded.status().ToString();
+  }
+}
+
+TEST(DistWireTest, OutOfRangeTypeIsNamedInTheError) {
+  for (std::uint8_t type : {std::uint8_t{kNumFrameTypes}, std::uint8_t{0xff}}) {
+    std::vector<std::uint8_t> frame = SampleEpochResultFrame();
+    frame[4] = type;
+    FixCrc(&frame);
+    auto decoded = DecodeFrame(frame);
+    ASSERT_FALSE(decoded.ok()) << "type byte " << int{type};
+    EXPECT_NE(decoded.status().ToString().find("unknown frame type"),
+              std::string::npos)
         << decoded.status().ToString();
   }
 }
@@ -474,6 +494,35 @@ TEST(ServeTest, Level2RecoversLevel1) {
       << failure->oracle << ": " << failure->detail;
 }
 
+TEST(DistRunnerTest, ResultWithWrongSitesIsANamedError) {
+  // The coordinator assigns its one node sites {0, 1}. A node that serves
+  // {0} sends results missing site 1, and one that serves {0, 0} names
+  // site 0 twice: the run must fail by name, not merge or hang.
+  const serve::Workload workload = ServeWorkload({11, 12});
+  for (const std::vector<int>& sites :
+       {std::vector<int>{0}, std::vector<int>{0, 0}}) {
+    auto [coordinator_end, node_end] = MakeLoopbackPair();
+    NodeConfig config;
+    config.sites = sites;
+    config.workload = &workload;
+    std::thread node([&config, conn = node_end.get()] {
+      (void)RunDistNode(config, conn);  // Fails once the coordinator aborts.
+      conn->Close();
+    });
+    DistOptions options;
+    options.num_nodes = 1;
+    DistResult result =
+        RunDistCoordinator(workload, {}, options, {coordinator_end.get()});
+    node.join();
+    ASSERT_FALSE(result.status.ok()) << "sites=" << sites.size();
+    EXPECT_EQ(result.status.code(), StatusCode::kInternal);
+    EXPECT_NE(result.status.ToString().find("not the ones it owns"),
+              std::string::npos)
+        << result.status.ToString();
+    EXPECT_TRUE(result.events.empty());
+  }
+}
+
 TEST(DistRunnerTest, ObsInstrumentsCountTraffic) {
   obs::SetEnabled(true);
   auto& registry = obs::Registry::Global();
@@ -519,14 +568,10 @@ TEST(DistRunnerTest, PerTypeTrafficCountersSumToTotals) {
 
   // Every frame lands in exactly one per-type counter, so the breakdowns
   // must tile the totals.
-  static constexpr const char* kSuffixes[] = {
-      "hello", "epoch_work", "site_batch", "barrier", "handoff",
-      "stats_report",
-  };
-  static_assert(std::size(kSuffixes) == kNumFrameTypes);
   std::uint64_t frames_sum = 0;
   std::uint64_t bytes_sum = 0;
-  for (const char* suffix : kSuffixes) {
+  for (int type = 0; type < kNumFrameTypes; ++type) {
+    const char* suffix = ToString(static_cast<FrameType>(type));
     const std::uint64_t frames =
         registry.GetCounter("dist", std::string("frames_") + suffix)->value();
     const std::uint64_t bytes =
@@ -537,7 +582,14 @@ TEST(DistRunnerTest, PerTypeTrafficCountersSumToTotals) {
   }
   EXPECT_EQ(registry.GetCounter("dist", "frames")->value(), frames_sum);
   EXPECT_EQ(registry.GetCounter("dist", "bytes")->value(), bytes_sum);
-  EXPECT_GT(registry.GetCounter("dist", "frames_epoch_work")->value(), 0u);
+  // One EpochWork and one EpochResult per node and epoch, the finish round
+  // included; loopback counts each frame at send and again at receive.
+  const std::uint64_t per_type =
+      2u * 2u * static_cast<std::uint64_t>(workload.value().num_epochs + 1);
+  EXPECT_EQ(registry.GetCounter("dist", "frames_epoch_work")->value(),
+            per_type);
+  EXPECT_EQ(registry.GetCounter("dist", "frames_epoch_result")->value(),
+            per_type);
   EXPECT_GT(registry.GetCounter("dist", "frames_handoff")->value(), 0u);
   EXPECT_GT(registry.GetCounter("dist", "frames_stats_report")->value(), 0u);
 

@@ -273,6 +273,8 @@ TEST(PipelineTest, AblationModesStayWellFormed) {
 TEST(PipelineTest, AlwaysCompleteCostsMore) {
   SimConfig config = SmallConfig();
   config.duration_epochs = 600;
+  // Cost as a deterministic count, not wall clock: the BFS waves every
+  // inference pass of the run took.
   auto run_cost = [&](InferenceMode mode) {
     auto sim = WarehouseSimulator::Create(config);
     WarehouseSimulator& s = *sim.value();
@@ -280,11 +282,13 @@ TEST(PipelineTest, AlwaysCompleteCostsMore) {
     options.inference_mode = mode;
     SpirePipeline pipeline(&s.registry(), options);
     EventStream out;
+    std::size_t waves = 0;
     while (!s.Done()) {
       EpochReadings readings = s.Step();
       pipeline.ProcessEpoch(s.current_epoch(), std::move(readings), &out);
+      waves += pipeline.last_result().waves;
     }
-    return pipeline.total_costs().inference_seconds;
+    return waves;
   };
   EXPECT_GT(run_cost(InferenceMode::kAlwaysComplete),
             run_cost(InferenceMode::kScheduled));

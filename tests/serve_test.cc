@@ -124,68 +124,63 @@ TEST(BoundedQueueTest, MultiProducerPreservesPerProducerOrder) {
 // ---------------------------------------------------------------------------
 // EventMerger
 
-/// A one-event batch whose event encodes (epoch, site) in the object id so
-/// ordering violations are visible in the merged stream.
-SiteBatch Batch(Epoch epoch, int site) {
-  SiteBatch batch;
-  batch.epoch = epoch;
-  batch.site = site;
-  batch.events.push_back(Event::StartLocation(
-      static_cast<ObjectId>(100 * (epoch + 1) + site), 1, epoch));
-  return batch;
-}
-
-SiteBatch FinishBatch(Epoch epoch, int site) {
-  SiteBatch batch;
-  batch.epoch = epoch;
-  batch.site = site;
-  batch.finish = true;
-  return batch;
+/// One producer's result for `epoch`: one event per site, each encoding
+/// (epoch, site) in the object id so ordering violations are visible in
+/// the merged stream.
+EpochResult Produced(Epoch epoch, const std::vector<std::uint32_t>& sites,
+                     bool finish = false) {
+  EpochResult result;
+  result.epoch = epoch;
+  result.finish = finish;
+  for (std::uint32_t site : sites) {
+    result.site_events.emplace_back(
+        site, EventStream{Event::StartLocation(
+                  static_cast<ObjectId>(100 * (epoch + 1) + site), 1,
+                  epoch)});
+  }
+  return result;
 }
 
 TEST(EventMergerTest, MergesByEpochThenSite) {
   // Queue 0 carries sites {0, 2}; queue 1 carries site {1}.
-  BoundedQueue<SiteBatch> q0(16), q1(16);
-  const std::vector<BoundedQueue<SiteBatch>*> queues = {&q0, &q1};
-  const std::vector<std::size_t> per_queue = {2, 1};
+  BoundedQueue<EpochResult> q0(16), q1(16);
   for (Epoch e = 0; e < 2; ++e) {
-    ASSERT_TRUE(q0.Push(Batch(e, 0)));
-    ASSERT_TRUE(q0.Push(Batch(e, 2)));
-    ASSERT_TRUE(q1.Push(Batch(e, 1)));
+    ASSERT_TRUE(q0.Push(Produced(e, {0, 2})));
+    ASSERT_TRUE(q1.Push(Produced(e, {1})));
   }
-  ASSERT_TRUE(q0.Push(FinishBatch(2, 0)));
-  ASSERT_TRUE(q0.Push(FinishBatch(2, 2)));
-  ASSERT_TRUE(q1.Push(FinishBatch(2, 1)));
+  ASSERT_TRUE(q0.Push(Produced(2, {0, 2}, /*finish=*/true)));
+  ASSERT_TRUE(q1.Push(Produced(2, {1}, /*finish=*/true)));
   q0.Close();
   q1.Close();
 
   EventMerger merger;
   EventStream out;
-  ASSERT_TRUE(merger.Drain(queues, per_queue, &out).ok());
+  ASSERT_TRUE(merger.Drain({&q0, &q1}, &out).ok());
 
   // Global order: (epoch, site) ascending regardless of queue layout.
   std::vector<ObjectId> got;
   for (const Event& event : out) got.push_back(event.object);
-  EXPECT_EQ(got, (std::vector<ObjectId>{100, 101, 102, 200, 201, 202}));
+  EXPECT_EQ(got, (std::vector<ObjectId>{100, 101, 102, 200, 201, 202, 300,
+                                        301, 302}));
 }
 
 TEST(EventMergerTest, EarlyCloseIsProtocolError) {
-  BoundedQueue<SiteBatch> q0(4);
-  ASSERT_TRUE(q0.Push(Batch(0, 0)));
-  q0.Close();  // No finish batch: the producer died.
+  BoundedQueue<EpochResult> q0(4);
+  ASSERT_TRUE(q0.Push(Produced(0, {0})));
+  q0.Close();  // No finish result: the producer died.
   EventMerger merger;
   EventStream out;
-  Status status = merger.Drain({&q0}, {1}, &out);
+  Status status = merger.Drain({&q0}, &out);
   EXPECT_FALSE(status.ok());
 }
 
 TEST(EventMergerTest, WrongEpochIsProtocolError) {
-  BoundedQueue<SiteBatch> q0(4);
-  ASSERT_TRUE(q0.Push(Batch(5, 0)));  // Expected epoch 0.
+  BoundedQueue<EpochResult> q0(4);
+  ASSERT_TRUE(q0.Push(Produced(5, {0})));  // Expected epoch 0.
   q0.Close();
   EventMerger merger;
   EventStream out;
-  Status status = merger.Drain({&q0}, {1}, &out);
+  Status status = merger.Drain({&q0}, &out);
   EXPECT_FALSE(status.ok());
 }
 

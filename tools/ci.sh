@@ -35,8 +35,10 @@
 # merged onto one timeline, both re-validated by obscheck (DESIGN.md §9).
 # The TSan leg repeats the loopback half only — fork with running threads
 # is out of bounds under the sanitizer.
+# `all` also builds (without testing) a Release tree, whose optimizer
+# raises warnings the default build never sees.
 #
-#   tools/ci.sh            # all three configurations
+#   tools/ci.sh            # all three configurations + the Release build
 #   tools/ci.sh plain      # plain only
 #   tools/ci.sh sanitize   # ASan+UBSan only
 #   tools/ci.sh tsan       # ThreadSanitizer only (queue/merger/dist tests)
@@ -75,6 +77,12 @@ run_tsan() {
     -R 'Serve|Queue|Merger|Log|Obs|Tracer|Dist|Cache'
   run_dist_smoke "$dir" loopback
   run_queryserve_smoke "$dir"
+}
+
+run_release_build() {
+  echo "=== [release] build (no tests) ==="
+  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
+  cmake --build build-release -j "$jobs"
 }
 
 # Observability smoke: a fuzz-seed run with tracing and the explain channel
@@ -292,6 +300,7 @@ case "$mode" in
     run_config sanitize build-sanitize -DSPIRE_SANITIZE=ON
     run_archive_smoke build-sanitize
     run_tsan
+    run_release_build
     ;;
   *)
     echo "usage: tools/ci.sh [plain|sanitize|tsan|all]" >&2

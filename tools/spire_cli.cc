@@ -957,7 +957,8 @@ Result<serve::Workload> BuildServeWorkload(const Config& args) {
   auto in_list = SplitCommaList(args.GetString("in", "").value_or(""));
   auto dep_list =
       SplitCommaList(args.GetString("deployment", "").value_or(""));
-  const auto num_sites = args.GetInt("sites", 0).value_or(0);
+  const auto num_sites = args.GetInt("sites", 0);
+  if (!num_sites.ok()) return num_sites.status();
   if (!in_list.empty()) {
     if (in_list.size() != dep_list.size()) {
       return Status::InvalidArgument(
@@ -970,11 +971,12 @@ Result<serve::Workload> BuildServeWorkload(const Config& args) {
       if (!site.ok()) return site.status();
       workload.sites.push_back(std::move(site).value());
     }
-  } else if (num_sites > 0) {
-    const auto seed = args.GetInt("seed", 1).value_or(1);
-    for (std::int64_t i = 0; i < num_sites; ++i) {
+  } else if (num_sites.value() > 0) {
+    const auto seed = args.GetInt("seed", 1);
+    if (!seed.ok()) return seed.status();
+    for (std::int64_t i = 0; i < num_sites.value(); ++i) {
       FuzzCase fuzz_case =
-          CaseFromSeed(static_cast<std::uint64_t>(seed + i));
+          CaseFromSeed(static_cast<std::uint64_t>(seed.value() + i));
       // NormalizeWorkload plants the site bits itself, so each site must be
       // a raw single-site trace; a transfer case's merged view already uses
       // them.
@@ -982,7 +984,7 @@ Result<serve::Workload> BuildServeWorkload(const Config& args) {
       auto trace = GenerateTrace(fuzz_case);
       if (!trace.ok()) return trace.status();
       serve::SiteWorkload site;
-      site.name = "fuzz-seed-" + std::to_string(seed + i);
+      site.name = "fuzz-seed-" + std::to_string(seed.value() + i);
       site.registry = std::move(trace.value().registry);
       site.epochs = std::move(trace.value().epochs);
       workload.sites.push_back(std::move(site));
@@ -1008,8 +1010,11 @@ Result<SimConfig> DistSimConfig(const Config& args) {
   auto sim = SimConfig::FromConfig(args, fuzz_case.sim);
   if (!sim.ok()) return sim.status();
   SimConfig config = sim.value();
-  const auto sites = args.GetInt("sites", 0).value_or(0);
-  if (sites > 0) config.transfer_sites = static_cast<int>(sites);
+  const auto sites = args.GetInt("sites", 0);
+  if (!sites.ok()) return sites.status();
+  if (sites.value() > 0) {
+    config.transfer_sites = static_cast<int>(sites.value());
+  }
   if (config.transfer_sites < 2) {
     // The fuzz case drew a single-site scenario; a distributed run always
     // needs cross-site traffic, so fall back to a three-site shuttle.
@@ -1037,10 +1042,14 @@ Result<DistWorkload> BuildDistWorkload(const Config& args) {
 }
 
 int RunNode(const Config& args) {
-  const auto node_id = args.GetInt("node_id", -1).value_or(-1);
-  const auto nodes = args.GetInt("nodes", 0).value_or(0);
-  const auto fd = args.GetInt("fd", -1).value_or(-1);
-  if (node_id < 0 || nodes <= 0 || node_id >= nodes || fd < 0) {
+  const auto node_id = args.GetInt("node_id", -1);
+  if (!node_id.ok()) return Fail(node_id.status());
+  const auto nodes = args.GetInt("nodes", 0);
+  if (!nodes.ok()) return Fail(nodes.status());
+  const auto fd = args.GetInt("fd", -1);
+  if (!fd.ok()) return Fail(fd.status());
+  if (node_id.value() < 0 || nodes.value() <= 0 ||
+      node_id.value() >= nodes.value() || fd.value() < 0) {
     return FailText(
         "node needs node_id=I nodes=N fd=F (plus the dist run's workload "
         "args)");
@@ -1056,18 +1065,18 @@ int RunNode(const Config& args) {
     Status status = obs::Tracer::Global().Start(trace_out);
     if (!status.ok()) return Fail(status);
     obs::Tracer::Global().SetProcessLabel("node" +
-                                          std::to_string(node_id));
+                                          std::to_string(node_id.value()));
   }
   auto built = BuildDistWorkload(args);
   if (!built.ok()) return Fail(built.status());
   dist::NodeConfig config;
-  config.node_id = static_cast<int>(node_id);
+  config.node_id = static_cast<int>(node_id.value());
   config.sites = dist::SitesOfNode(
       config.node_id, static_cast<int>(built.value().workload.sites.size()),
-      static_cast<int>(nodes));
+      static_cast<int>(nodes.value()));
   config.workload = &built.value().workload;
   config.pipeline.level = level.value();
-  auto conn = dist::MakeFdConn(static_cast<int>(fd));
+  auto conn = dist::MakeFdConn(static_cast<int>(fd.value()));
   Status status = dist::RunDistNode(config, conn.get());
   conn->Close();
   if (!trace_out.empty()) {
@@ -1235,7 +1244,11 @@ int RunFleet(const Config& args, const std::vector<std::string>& raw_args,
   if (!nodes.ok()) return Fail(nodes.status());
 
   const auto statusz = args.GetString("statusz", "").value_or("");
-  const bool stats = args.GetBool("stats", false).value_or(false);
+  auto stats_arg = args.GetBool("stats", false);
+  if (!stats_arg.ok()) return Fail(stats_arg.status());
+  const bool stats = stats_arg.value();
+  auto check = args.GetBool("check", true);
+  if (!check.ok()) return Fail(check.status());
   const auto stats_out = args.GetString("stats_out", "").value_or("");
   const auto trace_out = args.GetString("trace_out", "").value_or("");
   const bool wants_obs = !statusz.empty() || stats || !stats_out.empty();
@@ -1252,11 +1265,12 @@ int RunFleet(const Config& args, const std::vector<std::string>& raw_args,
   // Stats cadence: any metrics output turns on StatsReport frames every
   // stats_every epochs (plus the final report); stats_every=N alone also
   // enables them.
-  const auto stats_every =
-      args.GetInt("stats_every", wants_obs ? 16 : 0).value_or(0);
-  if (stats_every > 0) {
+  const auto stats_every = args.GetInt("stats_every", wants_obs ? 16 : 0);
+  if (!stats_every.ok()) return Fail(stats_every.status());
+  if (stats_every.value() > 0) {
     obs::SetEnabled(true);
-    options.stats_interval_epochs = static_cast<std::uint32_t>(stats_every);
+    options.stats_interval_epochs =
+        static_cast<std::uint32_t>(stats_every.value());
   }
 
   // Tracing: a loopback run is one process, so one session writes
@@ -1320,7 +1334,7 @@ int RunFleet(const Config& args, const std::vector<std::string>& raw_args,
       static_cast<long long>(workload.num_epochs), result.events.size(),
       result.handoff_hops, result.handoff_objects, wall);
 
-  if (args.GetBool("check", true).value_or(true)) {
+  if (check.value()) {
     const EventStream reference =
         dist::RunDistReference(workload, hops, options.pipeline);
     if (result.events != reference) {
