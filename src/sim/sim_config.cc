@@ -4,21 +4,54 @@ namespace spire {
 
 namespace {
 
-#define SPIRE_LOAD_INT(field)                                     \
-  do {                                                            \
-    auto r = config.GetInt(#field, out.field);                    \
-    if (!r.ok()) return r.status();                               \
-    out.field = r.value();                                        \
-  } while (0)
+// Every field, in declaration order: the key list Keys() declares and
+// FromConfig loads.
+#define SPIRE_SIM_FIELDS(X)                                                \
+  X(duration_epochs) X(pallet_interval) X(min_cases_per_pallet)            \
+  X(max_cases_per_pallet) X(items_per_case) X(read_rate)                   \
+  X(nonshelf_ticks_per_epoch) X(shelf_period) X(num_shelves)               \
+  X(mean_shelf_stay) X(entry_dwell) X(belt_dwell) X(packaging_dwell)       \
+  X(exit_dwell) X(packaging_timeout) X(transit_time) X(theft_interval)     \
+  X(patrol_reader) X(patrol_dwell) X(transfer_sites) X(transfer_interval)  \
+  X(transfer_dwell) X(transfer_transit) X(transfer_round_trips)            \
+  X(transfer_cases) X(transfer_items) X(seed)
 
-#define SPIRE_LOAD_DOUBLE(field)                                  \
-  do {                                                            \
-    auto r = config.GetDouble(#field, out.field);                 \
-    if (!r.ok()) return r.status();                               \
-    out.field = r.value();                                        \
-  } while (0)
+OptionSpec KeyOf(const char* name, bool value) {
+  return BoolOption(name, value);
+}
+OptionSpec KeyOf(const char* name, double value) {
+  return DoubleOption(name, value);
+}
+template <typename Int>
+OptionSpec KeyOf(const char* name, Int value) {
+  return IntOption(name, static_cast<std::int64_t>(value));
+}
+
+Status Load(const Config& config, const char* key, bool* field) {
+  auto r = config.GetBool(key, *field);
+  if (r.ok()) *field = r.value();
+  return r.status();
+}
+Status Load(const Config& config, const char* key, double* field) {
+  auto r = config.GetDouble(key, *field);
+  if (r.ok()) *field = r.value();
+  return r.status();
+}
+template <typename Int>
+Status Load(const Config& config, const char* key, Int* field) {
+  auto r = config.GetInt(key, static_cast<std::int64_t>(*field));
+  if (r.ok()) *field = static_cast<Int>(r.value());
+  return r.status();
+}
 
 }  // namespace
+
+std::vector<OptionSpec> SimConfig::Keys() {
+  const SimConfig defaults;
+#define SPIRE_KEY(field) KeyOf(#field, defaults.field),
+  return {SPIRE_SIM_FIELDS(SPIRE_KEY)};
+#undef SPIRE_KEY
+}
 
 Result<SimConfig> SimConfig::FromConfig(const Config& config) {
   return FromConfig(config, SimConfig());
@@ -27,41 +60,9 @@ Result<SimConfig> SimConfig::FromConfig(const Config& config) {
 Result<SimConfig> SimConfig::FromConfig(const Config& config,
                                         const SimConfig& base) {
   SimConfig out = base;
-  SPIRE_LOAD_INT(duration_epochs);
-  SPIRE_LOAD_INT(pallet_interval);
-  SPIRE_LOAD_INT(min_cases_per_pallet);
-  SPIRE_LOAD_INT(max_cases_per_pallet);
-  SPIRE_LOAD_INT(items_per_case);
-  SPIRE_LOAD_DOUBLE(read_rate);
-  SPIRE_LOAD_INT(nonshelf_ticks_per_epoch);
-  SPIRE_LOAD_INT(shelf_period);
-  SPIRE_LOAD_INT(num_shelves);
-  SPIRE_LOAD_INT(mean_shelf_stay);
-  SPIRE_LOAD_INT(entry_dwell);
-  SPIRE_LOAD_INT(belt_dwell);
-  SPIRE_LOAD_INT(packaging_dwell);
-  SPIRE_LOAD_INT(exit_dwell);
-  SPIRE_LOAD_INT(packaging_timeout);
-  SPIRE_LOAD_INT(transit_time);
-  SPIRE_LOAD_INT(theft_interval);
-  SPIRE_LOAD_INT(patrol_dwell);
-  SPIRE_LOAD_INT(transfer_sites);
-  SPIRE_LOAD_INT(transfer_interval);
-  SPIRE_LOAD_INT(transfer_dwell);
-  SPIRE_LOAD_INT(transfer_transit);
-  SPIRE_LOAD_INT(transfer_round_trips);
-  SPIRE_LOAD_INT(transfer_cases);
-  SPIRE_LOAD_INT(transfer_items);
-  {
-    auto r = config.GetBool("patrol_reader", out.patrol_reader);
-    if (!r.ok()) return r.status();
-    out.patrol_reader = r.value();
-  }
-  {
-    auto r = config.GetInt("seed", static_cast<std::int64_t>(out.seed));
-    if (!r.ok()) return r.status();
-    out.seed = static_cast<std::uint64_t>(r.value());
-  }
+#define SPIRE_LOAD(field) SPIRE_RETURN_NOT_OK(Load(config, #field, &out.field));
+  SPIRE_SIM_FIELDS(SPIRE_LOAD)
+#undef SPIRE_LOAD
   SPIRE_RETURN_NOT_OK(out.Validate());
   return out;
 }

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/config.h"
 #include "common/status.h"
@@ -101,8 +102,12 @@ struct SimConfig {
   /// RNG seed; identical seeds reproduce identical traces.
   std::uint64_t seed = 42;
 
-  /// Applies `key=value` overrides (keys match field names) on top of
-  /// `base`, which supplies the defaults for keys not present.
+  /// Every field above as a `key=value` option named after it, defaulted
+  /// from SimConfig{}: the one key list FromConfig loads.
+  static std::vector<OptionSpec> Keys();
+
+  /// Applies `key=value` overrides (the Keys() names) on top of `base`,
+  /// which supplies the defaults for keys not present.
   static Result<SimConfig> FromConfig(const Config& config,
                                       const SimConfig& base);
   static Result<SimConfig> FromConfig(const Config& config);

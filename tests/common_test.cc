@@ -277,6 +277,12 @@ TEST(ConfigTest, TypedParseErrors) {
   EXPECT_FALSE(config.GetInt("n", 0).ok());
   EXPECT_FALSE(config.GetDouble("n", 0).ok());
   EXPECT_FALSE(config.GetBool("n", false).ok());
+  config.Set("n", "99999999999999999999999");
+  EXPECT_EQ(config.GetInt("n", 0).status().message(),
+            "config key 'n' is not an integer: 99999999999999999999999");
+  config.Set("n", "1e999");
+  EXPECT_EQ(config.GetDouble("n", 0).status().message(),
+            "config key 'n' is not a number: 1e999");
 }
 
 TEST(ConfigTest, BoolSpellings) {
@@ -313,6 +319,88 @@ TEST(ConfigTest, KeysSorted) {
   ASSERT_EQ(keys.size(), 2u);
   EXPECT_EQ(keys[0], "alpha");
   EXPECT_EQ(keys[1], "zeta");
+}
+
+Result<Options> ParseOptions(const std::vector<std::string>& lines) {
+  static const std::vector<OptionSpec> table = {
+      StringOption("in"),
+      IntOption("count", 10, 1),
+      DoubleOption("rate", 0.5),
+      BoolOption("check", true),
+      EnumOption("level", "2", {"1", "2"}),
+      EnumOption("statusz", "", {"text", "json"}),
+  };
+  auto given = Config::FromLines(lines);
+  if (!given.ok()) return given.status();
+  return Options::Parse(table, given.value());
+}
+
+TEST(OptionsTest, DefaultsAndGivenValues) {
+  auto defaults = ParseOptions({});
+  ASSERT_TRUE(defaults.ok());
+  EXPECT_EQ(defaults.value().String("in"), "");
+  EXPECT_EQ(defaults.value().Int("count"), 10);
+  EXPECT_EQ(defaults.value().Double("rate"), 0.5);
+  EXPECT_TRUE(defaults.value().Bool("check"));
+  EXPECT_EQ(defaults.value().String("level"), "2");
+  EXPECT_FALSE(defaults.value().Has("count"));
+
+  auto given =
+      ParseOptions({"in=a.spev", "count=1", "rate=0.25", "check=0",
+                    "level=1", "statusz=json"});
+  ASSERT_TRUE(given.ok());
+  EXPECT_EQ(given.value().String("in"), "a.spev");
+  EXPECT_EQ(given.value().Int("count"), 1);
+  EXPECT_EQ(given.value().Double("rate"), 0.25);
+  EXPECT_FALSE(given.value().Bool("check"));
+  EXPECT_EQ(given.value().String("level"), "1");
+  EXPECT_EQ(given.value().String("statusz"), "json");
+  EXPECT_TRUE(given.value().Has("count"));
+  EXPECT_EQ(given.value().given().Keys().size(), 6u);
+}
+
+TEST(OptionsTest, RejectsUnknownMalformedAndOutOfRangeKeysByName) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"cuont=5", "unknown key 'cuont'"},
+      {"count=abc", "config key 'count' is not an integer: abc"},
+      {"count=0", "config key 'count' must be >= 1, got 0"},
+      {"rate=fast", "config key 'rate' is not a number: fast"},
+      {"check=maybe", "config key 'check' is not a boolean: maybe"},
+      {"level=3", "level must be 1 or 2, got '3'"},
+      {"statusz=xml", "statusz must be text or json, got 'xml'"},
+  };
+  for (const auto& [line, message] : cases) {
+    auto parsed = ParseOptions({line});
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_EQ(parsed.status().message(), message) << line;
+  }
+}
+
+TEST(OptionsTest, RequiredKeyMustBeGiven) {
+  const std::vector<OptionSpec> table = {Required(StringOption("in"))};
+  auto missing = Options::Parse(table, Config());
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().message(), "missing key 'in'");
+  Config given;
+  given.Set("in", "a.spev");
+  EXPECT_TRUE(Options::Parse(table, given).ok());
+  EXPECT_EQ(FormatOption(table[0]), "in=<required>");
+}
+
+TEST(OptionsTest, RejectsAKeyDeclaredTwice) {
+  const std::vector<OptionSpec> table = {IntOption("n", 1), IntOption("n", 2)};
+  EXPECT_FALSE(Options::Parse(table, Config()).ok());
+}
+
+TEST(OptionsTest, FormatShowsDefaultThenChoices) {
+  EXPECT_EQ(FormatOption(IntOption("count", 10, 1)), "count=10");
+  EXPECT_EQ(FormatOption(DoubleOption("rate", 0.85)), "rate=0.85");
+  EXPECT_EQ(FormatOption(BoolOption("check", true)), "check=true");
+  EXPECT_EQ(FormatOption(StringOption("in")), "in=");
+  EXPECT_EQ(FormatOption(EnumOption("level", "2", {"1", "2"})), "level=2|1");
+  EXPECT_EQ(FormatOption(EnumOption("statusz", "", {"text", "json"})),
+            "statusz=text|json");
 }
 
 // ----------------------------------------------------------------- Wire ---

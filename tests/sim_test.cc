@@ -50,6 +50,19 @@ TEST(SimConfigTest, RejectsBadRanges) {
   EXPECT_FALSE(config.Validate().ok());
 }
 
+TEST(SimConfigTest, KeysNameEveryFieldOnceWithItsDefault) {
+  std::map<std::string, OptionValue> defaults;
+  for (const OptionSpec& key : SimConfig::Keys()) {
+    EXPECT_TRUE(defaults.emplace(key.name, key.default_value).second)
+        << key.name;
+  }
+  EXPECT_EQ(defaults.size(), 27u);
+  EXPECT_EQ(std::get<double>(defaults.at("read_rate")), 0.85);
+  EXPECT_EQ(std::get<bool>(defaults.at("patrol_reader")), false);
+  EXPECT_EQ(std::get<std::int64_t>(defaults.at("seed")), 42);
+  EXPECT_EQ(std::get<std::int64_t>(defaults.at("duration_epochs")), 3 * 3600);
+}
+
 TEST(SimConfigTest, FromConfigOverridesSelectedKeys) {
   Config overrides;
   overrides.Set("read_rate", "0.7");

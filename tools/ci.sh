@@ -191,19 +191,24 @@ run_queryserve_smoke() {
 }
 
 # Distributed serving smoke (DESIGN.md §12): a transfer-scenario seed on 2
-# nodes. `check=1` replays the serial per-site reference and demands the
-# distributed stream match it byte for byte (the CLI face of the
-# distributed_equivalence oracle); the dist wire counters round-trip
-# through obscheck. The optional second half re-runs the same workload
-# with each node in a forked process over real socketpairs and compares
-# the two output files — pass "loopback" as the second argument to skip
-# it (TSan forbids fork once coordinator threads are up).
+# nodes with two SimConfig overrides: transfer_round_trips=3 changes the
+# truck traffic, and num_shelves=4 the site registries, which a spawned
+# node re-derives from the workload keys the coordinator forwards (a node
+# that missed them diverges from loopback). `check=1` replays the serial
+# per-site reference and demands the distributed stream match it byte for
+# byte (the CLI face of the distributed_equivalence oracle); the dist wire
+# counters round-trip through obscheck. The optional second half re-runs
+# the same workload with each node in a forked process over real
+# socketpairs and compares the two output files — pass "loopback" as the
+# second argument to skip it (TSan forbids fork once coordinator threads
+# are up).
 run_dist_smoke() {
   local dir="$1" spawn="${2:-spawn}" tmp
   tmp="$(mktemp -d)"
   echo "=== [dist] smoke (2-node loopback + obscheck) ==="
   "$dir/tools/spire_cli" dist seed=7 nodes=2 mode=loopback check=1 \
-    out="$tmp/loopback.spev" stats_out="$tmp/dist-metrics.json"
+    transfer_round_trips=3 num_shelves=4 out="$tmp/loopback.spev" \
+    stats_out="$tmp/dist-metrics.json"
   "$dir/tools/spire_cli" obscheck metrics="$tmp/dist-metrics.json"
   if [ "$spawn" = "spawn" ]; then
     echo "=== [dist] smoke (forked nodes + fleet statusz + merged trace) ==="
@@ -211,8 +216,9 @@ run_dist_smoke() {
     # aggregated into stats_out, per-node traces merged into trace_out —
     # and the output must STILL match the uninstrumented loopback run.
     "$dir/tools/spire_cli" dist seed=7 nodes=2 mode=spawn check=1 \
-      out="$tmp/spawn.spev" stats_every=8 \
-      stats_out="$tmp/fleet-metrics.json" trace_out="$tmp/fleet-trace.json"
+      transfer_round_trips=3 num_shelves=4 out="$tmp/spawn.spev" \
+      stats_every=8 stats_out="$tmp/fleet-metrics.json" \
+      trace_out="$tmp/fleet-trace.json"
     "$dir/tools/spire_cli" obscheck metrics="$tmp/fleet-metrics.json" \
       trace="$tmp/fleet-trace.json" require=epoch,hop
     if ! cmp -s "$tmp/loopback.spev" "$tmp/spawn.spev"; then
