@@ -83,6 +83,17 @@ SimConfig SweepConfig(bool full);
 /// Recognizes `full=true` for paper-scale runs.
 Config ParseArgs(int argc, char** argv);
 
+/// Parses trailing `key=value` args against `keys` plus SimConfig::Keys()
+/// (Options::Parse); an unknown, malformed or out-of-range key exits with
+/// its name and the usage line. Apply the given SimConfig keys on top of
+/// the bench's own base config with ApplySimOverrides.
+Options ParseBenchOptions(int argc, char** argv,
+                          const std::vector<OptionSpec>& keys);
+
+/// `base` with the SimConfig keys `options` was given; exits with the
+/// reason when they fail SimConfig::Validate.
+SimConfig ApplySimOverrides(const Options& options, const SimConfig& base);
+
 /// Standard bench banner.
 void PrintHeader(const std::string& title, const std::string& paper_ref);
 

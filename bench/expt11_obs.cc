@@ -12,8 +12,9 @@
 // The dist leg (dist=true, on by default) repeats the comparison for the
 // fleet machinery: a 2-node loopback transfer run with per-epoch
 // StatsReport frames, ClockSync, and cross-node handoff spans against the
-// same run with everything off. `dist_traced_over_disabled` is gated in CI
-// (ci.sh compares against BENCH_obs.json with tools/bench_compare.py).
+// same run with everything off. Its ratios are reported, not gated: CI
+// gates the traced dist overhead through perfbench's steal-filtered
+// sites_fleet `obs.trace_overhead_ratio` (tools/ci.sh).
 //
 //   ./expt11_obs [full=true] [reps=N] [dist=false] [key=value ...]
 #include <algorithm>

@@ -27,7 +27,9 @@
 // (hits + misses == lookups, blocks decoded <= misses).
 //
 //   ./expt15_query [full=true] [block_events=N] [requests=N] [cache_mb=M]
-//                  [key=value ...]
+//                  [<SimConfig key>=value ...]
+//
+// An unknown, malformed or out-of-range key fails by name.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -301,17 +303,20 @@ double ServeWorkload(const SegmentLog& log, const std::vector<Request>& requests
 }  // namespace
 
 int main(int argc, char** argv) {
-  Config args = ParseArgs(argc, argv);
-  bool full = args.GetBool("full", false).value_or(false);
-  SimConfig base = PaperOutputConfig(full);
-  auto overridden = SimConfig::FromConfig(args, base);
-  if (overridden.ok()) base = overridden.value();
-  const std::size_t block_events = static_cast<std::size_t>(
-      args.GetInt("block_events", 1024).value_or(1024));
+  // requests= defaults to 20000, or 40000 with full=true.
+  const Options args = ParseBenchOptions(
+      argc, argv,
+      {BoolOption("full", false), IntOption("block_events", 1024, /*min=*/1),
+       IntOption("requests", 20000, /*min=*/1),
+       IntOption("cache_mb", 64, /*min=*/1)});
+  const bool full = args.Bool("full");
+  const SimConfig base = ApplySimOverrides(args, PaperOutputConfig(full));
+  const std::size_t block_events =
+      static_cast<std::size_t>(args.Int("block_events"));
   const std::size_t num_requests = static_cast<std::size_t>(
-      args.GetInt("requests", full ? 40000 : 20000).value_or(20000));
-  const std::uint64_t cache_mb = static_cast<std::uint64_t>(
-      args.GetInt("cache_mb", 64).value_or(64));
+      full && !args.Has("requests") ? 40000 : args.Int("requests"));
+  const std::uint64_t cache_mb =
+      static_cast<std::uint64_t>(args.Int("cache_mb"));
 
   PrintHeader("Expt 15: segment-direct query serving vs per-request "
               "materialization",

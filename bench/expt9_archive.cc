@@ -19,7 +19,9 @@
 //     >= kEpochSpeedupFloor x — asserted hard, and written to
 //     BENCH_archive.json for tools/bench_compare.py to track.
 //
-//   ./expt9_archive [full=true] [block_events=N] [key=value ...]
+//   ./expt9_archive [full=true] [block_events=N] [<SimConfig key>=value ...]
+//
+// An unknown, malformed or out-of-range key fails by name.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -140,13 +142,14 @@ double BestEpochScanSeconds(const ArchiveReader& reader, int reps,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Config args = ParseArgs(argc, argv);
-  bool full = args.GetBool("full", false).value_or(false);
-  SimConfig base = PaperOutputConfig(full);
-  auto overridden = SimConfig::FromConfig(args, base);
-  if (overridden.ok()) base = overridden.value();
-  const std::size_t block_events = static_cast<std::size_t>(
-      args.GetInt("block_events", 4096).value_or(4096));
+  const Options args =
+      ParseBenchOptions(argc, argv,
+                        {BoolOption("full", false),
+                         IntOption("block_events", 4096, /*min=*/1)});
+  const SimConfig base =
+      ApplySimOverrides(args, PaperOutputConfig(args.Bool("full")));
+  const std::size_t block_events =
+      static_cast<std::size_t>(args.Int("block_events"));
 
   PrintHeader("Expt 9: persistent archive vs flat event file",
               "beyond the paper; store/ subsystem");

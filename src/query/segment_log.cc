@@ -1,6 +1,7 @@
 #include "query/segment_log.h"
 
 #include <algorithm>
+#include <span>
 
 #include "compress/fold.h"
 #include "obs/registry.h"
@@ -34,6 +35,157 @@ bool IsLocationKind(const Event& event) {
   return !IsContainmentEvent(event.type);
 }
 
+/// SegmentLog's one-pass fold. Stays accumulate in a flat vector in the
+/// stream order of their opening events. An End closes its (object,
+/// kind)'s open stay through an open index from (object, kind) to stay
+/// slot and removes that key, exactly as FoldEvents' ordered map does —
+/// but the index is an open-addressed table that holds only the stays
+/// open at the current event, so it stays small on long streams, and
+/// nothing is sorted. (A std::unordered_map index, one node allocation per
+/// Start, cost query_hot 9-21% of its throughput, median of 10 pairs.)
+class StayFold {
+ public:
+  void Add(const Event& event) {
+    switch (event.type) {
+      case EventType::kStartLocation:
+      case EventType::kStartContainment: {
+        RangedEvent stay;
+        stay.type = event.type;
+        stay.object = event.object;
+        stay.location = event.location;
+        stay.container = event.container;
+        stay.start = event.start;
+        stay.end = kInfiniteEpoch;
+        // Like FoldEvents, a second Start replaces the open slot; the
+        // earlier stay then stays open.
+        Open(event.object, KindOf(event.type),
+             static_cast<std::uint32_t>(stays_.size()));
+        stays_.push_back(stay);
+        break;
+      }
+      case EventType::kEndLocation:
+      case EventType::kEndContainment: {
+        const std::uint32_t slot = Close(event.object, KindOf(event.type));
+        if (slot != kNoSlot) stays_[slot].end = event.end;
+        break;
+      }
+      case EventType::kMissing: {
+        RangedEvent report;
+        report.type = EventType::kMissing;
+        report.object = event.object;
+        report.location = event.location;
+        report.start = event.start;
+        report.end = event.end;
+        stays_.push_back(report);
+        break;
+      }
+    }
+  }
+
+  std::vector<RangedEvent> Take() { return std::move(stays_); }
+
+ private:
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  /// One open stay: its key and slot. kind 0 marks a free entry.
+  struct Entry {
+    ObjectId object = kNoObject;
+    std::uint32_t slot = kNoSlot;
+    std::uint32_t kind = 0;  ///< 1: location, 2: containment.
+  };
+
+  static std::uint32_t KindOf(EventType type) {
+    return IsContainmentEvent(type) ? 2 : 1;
+  }
+
+  std::size_t Home(ObjectId object) const {
+    return ((object * 0x9E3779B97F4A7C15ull) >> 32) & (table_.size() - 1);
+  }
+
+  /// The key's entry, or the free entry where it would go: linear probing
+  /// over a power-of-two table at most half full.
+  std::size_t Find(ObjectId object, std::uint32_t kind) const {
+    const std::size_t mask = table_.size() - 1;
+    std::size_t i = Home(object);
+    while (table_[i].kind != 0 &&
+           (table_[i].object != object || table_[i].kind != kind)) {
+      i = (i + 1) & mask;
+    }
+    return i;
+  }
+
+  void Open(ObjectId object, std::uint32_t kind, std::uint32_t slot) {
+    if (2 * (open_ + 1) > table_.size()) Grow();
+    Entry& entry = table_[Find(object, kind)];
+    if (entry.kind == 0) {
+      entry.object = object;
+      entry.kind = kind;
+      ++open_;
+    }
+    entry.slot = slot;
+  }
+
+  /// Removes the key and returns its stay's slot (kNoSlot when not open).
+  std::uint32_t Close(ObjectId object, std::uint32_t kind) {
+    if (open_ == 0) return kNoSlot;
+    std::size_t i = Find(object, kind);
+    if (table_[i].kind == 0) return kNoSlot;
+    const std::uint32_t slot = table_[i].slot;
+    // Backward-shift deletion: pull each later entry of the probe run
+    // whose home lies at or before the hole into it, so no run breaks.
+    const std::size_t mask = table_.size() - 1;
+    for (std::size_t j = (i + 1) & mask; table_[j].kind != 0;
+         j = (j + 1) & mask) {
+      if (((j - Home(table_[j].object)) & mask) >= ((j - i) & mask)) {
+        table_[i] = table_[j];
+        i = j;
+      }
+    }
+    table_[i] = Entry{};
+    --open_;
+    return slot;
+  }
+
+  void Grow() {
+    std::vector<Entry> old(table_.empty() ? 16 : 2 * table_.size());
+    old.swap(table_);
+    for (const Entry& entry : old) {
+      if (entry.kind != 0) table_[Find(entry.object, entry.kind)] = entry;
+    }
+  }
+
+  std::vector<RangedEvent> stays_;
+  std::vector<Entry> table_;
+  std::size_t open_ = 0;  ///< Keys in the table.
+};
+
+/// The covering stay of `type` with the earliest start (at most one on
+/// well-formed streams), or null — CoveringStay over FoldEvents' order.
+const RangedEvent* EarliestCovering(const std::vector<RangedEvent>& stays,
+                                    EventType type, Epoch epoch) {
+  const RangedEvent* covering = nullptr;
+  for (const RangedEvent& stay : stays) {
+    if (stay.type != type || !(stay.start <= epoch && epoch < stay.end)) {
+      continue;
+    }
+    if (covering == nullptr || stay.start < covering->start) covering = &stay;
+  }
+  return covering;
+}
+
+/// The objects of the `type` stays covering `epoch`, ascending.
+std::vector<ObjectId> CoveringObjects(const std::vector<RangedEvent>& stays,
+                                      EventType type, Epoch epoch) {
+  std::vector<ObjectId> objects;
+  for (const RangedEvent& stay : stays) {
+    if (stay.type == type && stay.start <= epoch && epoch < stay.end) {
+      objects.push_back(stay.object);
+    }
+  }
+  std::sort(objects.begin(), objects.end());
+  return objects;
+}
+
 }  // namespace
 
 SegmentLog::SegmentLog(ArchiveReader reader, std::shared_ptr<BlockCache> cache)
@@ -58,25 +210,6 @@ Result<std::unique_ptr<SegmentLog>> SegmentLog::Open(
       new SegmentLog(std::move(reader).value(), std::move(cache)));
 }
 
-std::vector<std::uint32_t> SegmentLog::CandidateBlocks(
-    const std::vector<std::uint32_t>& postings, Epoch epoch) const {
-  const std::vector<BlockMeta>& blocks = reader_.blocks();
-  if (monotone_min_epochs_) {
-    // min-epochs are monotone over the directory, hence over any posting
-    // list (a subsequence), so the candidates are a binary-searched prefix.
-    auto end = std::partition_point(
-        postings.begin(), postings.end(), [&](std::uint32_t index) {
-          return blocks[index].min_epoch <= epoch;
-        });
-    return {postings.begin(), end};
-  }
-  std::vector<std::uint32_t> selected;
-  for (std::uint32_t index : postings) {
-    if (blocks[index].min_epoch <= epoch) selected.push_back(index);
-  }
-  return selected;
-}
-
 Result<BlockCache::BlockPtr> SegmentLog::FetchBlock(
     std::uint32_t index) const {
   if (cache_ != nullptr) {
@@ -97,17 +230,31 @@ Result<BlockCache::BlockPtr> SegmentLog::FetchBlock(
 }
 
 template <typename Keep>
-Result<EventStream> SegmentLog::Collect(
-    const std::vector<std::uint32_t>& blocks, Keep keep) const {
-  EventStream selected;
-  for (std::uint32_t index : blocks) {
+Result<std::vector<RangedEvent>> SegmentLog::FoldPostings(
+    const std::vector<std::uint32_t>& postings, Epoch cut, Keep keep) const {
+  const std::vector<BlockMeta>& blocks = reader_.blocks();
+  auto below_cut = [&](std::uint32_t index) {
+    return blocks[index].min_epoch <= cut;
+  };
+  // Monotone min-epochs (over the directory, hence over any posting list,
+  // a subsequence) make the candidates a binary-searched prefix; otherwise
+  // every block is tested on its own.
+  std::span<const std::uint32_t> candidates = postings;
+  if (monotone_min_epochs_) {
+    candidates = candidates.first(static_cast<std::size_t>(
+        std::partition_point(postings.begin(), postings.end(), below_cut) -
+        postings.begin()));
+  }
+  StayFold fold;
+  for (std::uint32_t index : candidates) {
+    if (!monotone_min_epochs_ && !below_cut(index)) continue;
     auto block = FetchBlock(index);
     if (!block.ok()) return block.status();
     for (const Event& event : *block.value()) {
-      if (keep(event)) selected.push_back(event);
+      if (keep(event)) fold.Add(event);
     }
   }
-  return selected;
+  return fold.Take();
 }
 
 Result<LocationId> SegmentLog::LocationAt(ObjectId object,
@@ -116,21 +263,15 @@ Result<LocationId> SegmentLog::LocationAt(ObjectId object,
   const std::vector<std::uint32_t>* postings =
       reader_.PostingsForObject(object);
   if (postings == nullptr) return kUnknownLocation;
-  auto selected =
-      Collect(CandidateBlocks(*postings, epoch), [&](const Event& event) {
-        return event.object == object &&
-               (event.type == EventType::kStartLocation ||
-                event.type == EventType::kEndLocation);
-      });
-  if (!selected.ok()) return selected.status();
-  // Folded events are start-sorted; at most one location stay covers any
-  // epoch (well-formedness forbids nested Starts), mirroring CoveringStay.
-  for (const RangedEvent& stay : FoldEvents(selected.value())) {
-    if (stay.type != EventType::kStartLocation) continue;
-    if (stay.start <= epoch && epoch < stay.end) return stay.location;
-    if (stay.start > epoch) break;
-  }
-  return kUnknownLocation;
+  auto stays = FoldPostings(*postings, epoch, [&](const Event& event) {
+    return event.object == object &&
+           (event.type == EventType::kStartLocation ||
+            event.type == EventType::kEndLocation);
+  });
+  if (!stays.ok()) return stays.status();
+  const RangedEvent* stay =
+      EarliestCovering(stays.value(), EventType::kStartLocation, epoch);
+  return stay == nullptr ? kUnknownLocation : stay->location;
 }
 
 Result<ObjectId> SegmentLog::ContainerAt(ObjectId object, Epoch epoch) const {
@@ -138,17 +279,13 @@ Result<ObjectId> SegmentLog::ContainerAt(ObjectId object, Epoch epoch) const {
   const std::vector<std::uint32_t>* postings =
       reader_.PostingsForObject(object);
   if (postings == nullptr) return kNoObject;
-  auto selected =
-      Collect(CandidateBlocks(*postings, epoch), [&](const Event& event) {
-        return event.object == object && IsContainmentEvent(event.type);
-      });
-  if (!selected.ok()) return selected.status();
-  for (const RangedEvent& stay : FoldEvents(selected.value())) {
-    if (stay.type != EventType::kStartContainment) continue;
-    if (stay.start <= epoch && epoch < stay.end) return stay.container;
-    if (stay.start > epoch) break;
-  }
-  return kNoObject;
+  auto stays = FoldPostings(*postings, epoch, [&](const Event& event) {
+    return event.object == object && IsContainmentEvent(event.type);
+  });
+  if (!stays.ok()) return stays.status();
+  const RangedEvent* stay =
+      EarliestCovering(stays.value(), EventType::kStartContainment, epoch);
+  return stay == nullptr ? kNoObject : stay->container;
 }
 
 Status SegmentLog::AppendContents(ObjectId container, Epoch epoch,
@@ -157,16 +294,12 @@ Status SegmentLog::AppendContents(ObjectId container, Epoch epoch,
   const std::vector<std::uint32_t>* postings =
       reader_.PostingsForContainer(container);
   if (postings == nullptr) return Status::OK();
-  auto selected =
-      Collect(CandidateBlocks(*postings, epoch), [&](const Event& event) {
-        return IsContainmentEvent(event.type) && event.container == container;
-      });
-  if (!selected.ok()) return selected.status();
-  std::vector<ObjectId> direct;
-  for (const RangedEvent& stay : FoldEvents(selected.value())) {
-    if (stay.type != EventType::kStartContainment) continue;
-    if (stay.start <= epoch && epoch < stay.end) direct.push_back(stay.object);
-  }
+  auto stays = FoldPostings(*postings, epoch, [&](const Event& event) {
+    return IsContainmentEvent(event.type) && event.container == container;
+  });
+  if (!stays.ok()) return stays.status();
+  const std::vector<ObjectId> direct =
+      CoveringObjects(stays.value(), EventType::kStartContainment, epoch);
   out->insert(out->end(), direct.begin(), direct.end());
   if (!transitive) return Status::OK();
   for (ObjectId child : direct) {
@@ -199,23 +332,14 @@ Result<std::vector<ObjectId>> SegmentLog::ContentsAt(ObjectId container,
 Result<std::vector<ObjectId>> SegmentLog::ObjectsAt(LocationId location,
                                                     Epoch epoch) const {
   CountQuery();
-  std::vector<ObjectId> objects;
   const std::vector<std::uint32_t>* postings =
       reader_.PostingsForLocation(location);
-  if (postings == nullptr) return objects;
-  auto selected =
-      Collect(CandidateBlocks(*postings, epoch), [&](const Event& event) {
-        return IsLocationKind(event) && event.location == location;
-      });
-  if (!selected.ok()) return selected.status();
-  for (const RangedEvent& stay : FoldEvents(selected.value())) {
-    if (stay.type != EventType::kStartLocation) continue;
-    if (stay.start <= epoch && epoch < stay.end) {
-      objects.push_back(stay.object);
-    }
-  }
-  std::sort(objects.begin(), objects.end());
-  return objects;
+  if (postings == nullptr) return std::vector<ObjectId>{};
+  auto stays = FoldPostings(*postings, epoch, [&](const Event& event) {
+    return IsLocationKind(event) && event.location == location;
+  });
+  if (!stays.ok()) return stays.status();
+  return CoveringObjects(stays.value(), EventType::kStartLocation, epoch);
 }
 
 Result<std::vector<Stay>> SegmentLog::TrajectoryOf(ObjectId object) const {
@@ -225,19 +349,24 @@ Result<std::vector<Stay>> SegmentLog::TrajectoryOf(ObjectId object) const {
       reader_.PostingsForObject(object);
   if (postings == nullptr) return trajectory;
   // Timeline query: no epoch cut — every posting block participates.
-  auto selected = Collect(*postings, [&](const Event& event) {
+  auto stays = FoldPostings(*postings, kInfiniteEpoch, [&](const Event& event) {
     return event.object == object &&
            (event.type == EventType::kStartLocation ||
             event.type == EventType::kEndLocation);
   });
-  if (!selected.ok()) return selected.status();
-  for (const RangedEvent& folded : FoldEvents(selected.value())) {
-    if (folded.type != EventType::kStartLocation) continue;
+  if (!stays.ok()) return stays.status();
+  for (const RangedEvent& folded : stays.value()) {
     Stay stay;
     stay.start = folded.start;
     stay.end = folded.end;
     stay.location = folded.location;
     trajectory.push_back(stay);
+  }
+  // One object's Starts arrive in start order; the check keeps the answer
+  // in start order on any archive.
+  auto by_start = [](const Stay& a, const Stay& b) { return a.start < b.start; };
+  if (!std::is_sorted(trajectory.begin(), trajectory.end(), by_start)) {
+    std::stable_sort(trajectory.begin(), trajectory.end(), by_start);
   }
   return trajectory;
 }
@@ -249,28 +378,24 @@ Result<bool> SegmentLog::IsMissingAt(ObjectId object, Epoch epoch) const {
   if (postings == nullptr) return false;
   // Missing reports close at the object's next location stay, so the fold
   // needs both kinds of location events.
-  auto selected =
-      Collect(CandidateBlocks(*postings, epoch), [&](const Event& event) {
-        return event.object == object && IsLocationKind(event);
-      });
-  if (!selected.ok()) return selected.status();
-  const std::vector<RangedEvent> folded = FoldEvents(selected.value());
-  for (const RangedEvent& report : folded) {
-    if (report.type != EventType::kMissing) continue;
-    if (report.start > epoch) break;  // Start-sorted; no later report covers.
-    // The report runs until the object's next sighting: the first location
-    // stay starting at or after `since` (EventLog's closing rule). A
-    // sighting past the candidate prefix starts after `epoch`, so the
+  auto stays = FoldPostings(*postings, epoch, [&](const Event& event) {
+    return event.object == object && IsLocationKind(event);
+  });
+  if (!stays.ok()) return stays.status();
+  for (const RangedEvent& report : stays.value()) {
+    if (report.type != EventType::kMissing || report.start > epoch) continue;
+    // The report runs until the object's next sighting: the earliest
+    // location stay starting at or after `since` (EventLog's closing rule).
+    // A sighting past the candidate prefix starts after `epoch`, so the
     // answer at `epoch` is unchanged by the cut.
     Epoch until = kInfiniteEpoch;
-    for (const RangedEvent& stay : folded) {
-      if (stay.type != EventType::kStartLocation) continue;
-      if (stay.start >= report.start) {
+    for (const RangedEvent& stay : stays.value()) {
+      if (stay.type == EventType::kStartLocation &&
+          stay.start >= report.start && stay.start < until) {
         until = stay.start;
-        break;
       }
     }
-    if (report.start <= epoch && epoch < until) return true;
+    if (epoch < until) return true;
   }
   return false;
 }

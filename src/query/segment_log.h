@@ -16,9 +16,17 @@
 //      so the prefix folds to the same answer as the full stream
 //      (binary-searched when block min-epochs are monotone, the compressor
 //      emission order; linearly filtered otherwise — same selection).
-//   3. Decode only those blocks — through the shared BlockCache when one is
-//      attached, so hot blocks skip the codec entirely — filter to the
-//      query's key, and fold just that slice (compress/fold) into stays.
+//   3. Fetch only those blocks — through the shared BlockCache when one is
+//      attached, so hot blocks skip the codec entirely — and fold the
+//      query's key in one pass over them in place, holding each fetched
+//      block while its events are read: no copy of the selection, no
+//      ordered map, no sort of the folded stays. The fold pairs each End
+//      with its (object, kind)'s open Start exactly as compress/fold's
+//      FoldEvents does, through a per-call open-addressed index from
+//      (object, kind) to stay slot that holds only the open stays, and
+//      keeps the stays in stream order. Each kind reads its
+//      answer straight off them: ObjectsAt/ContentsAt collect and sort
+//      just the covering ids, TrajectoryOf keeps start order.
 //
 // Filtered folds are exact because archived streams are well-formed
 // (compress/well_formed): an End names its Start's location/container, so
@@ -26,11 +34,13 @@
 // keeps Start/End pairs together and the slice folds to the identical stays
 // the full fold would produce. Answers therefore equal EventLog's on the
 // archived (level-as-stored) stream — the `query_equivalence` oracle in
-// src/check enforces this on fuzzed traces.
+// src/check enforces this on fuzzed traces, with FoldEvents (which
+// EventLog folds through) as the reference.
 //
 // Thread safety: all queries are const and safe to call concurrently from
 // many threads over one SegmentLog (ArchiveReader's decode paths are
-// concurrent-safe; the cache takes per-shard locks). Segments are immutable
+// concurrent-safe; the cache takes per-shard locks; every fold's stays and
+// open index live in the call, never shared). Segments are immutable
 // after Close and `compact` replaces rather than rewrites, so an open
 // SegmentLog is a stable snapshot: cache keys carry a per-open segment tag,
 // never aliasing entries across a replaced file.
@@ -42,6 +52,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "compress/fold.h"
 #include "query/block_cache.h"
 #include "query/event_log.h"
 #include "store/archive_reader.h"
@@ -96,18 +107,15 @@ class SegmentLog {
  private:
   SegmentLog(ArchiveReader reader, std::shared_ptr<BlockCache> cache);
 
-  /// The posting-list prefix of blocks with min_epoch <= epoch.
-  std::vector<std::uint32_t> CandidateBlocks(
-      const std::vector<std::uint32_t>& postings, Epoch epoch) const;
-
   /// One decoded block, through the cache when attached.
   Result<BlockCache::BlockPtr> FetchBlock(std::uint32_t index) const;
 
-  /// Concatenation of the listed blocks' events passing `keep`, in stream
-  /// order.
+  /// The one-pass fold (step 3): the stays of the events passing `keep` in
+  /// the posting blocks with min_epoch <= cut (the candidates of step 2),
+  /// in the stream order of their opening events.
   template <typename Keep>
-  Result<EventStream> Collect(const std::vector<std::uint32_t>& blocks,
-                              Keep keep) const;
+  Result<std::vector<RangedEvent>> FoldPostings(
+      const std::vector<std::uint32_t>& postings, Epoch cut, Keep keep) const;
 
   Status AppendContents(ObjectId container, Epoch epoch, bool transitive,
                         std::vector<ObjectId>* out,
@@ -117,7 +125,7 @@ class SegmentLog {
   std::shared_ptr<BlockCache> cache_;
   std::uint64_t segment_tag_ = 0;
   /// True when block min-epochs are non-decreasing in directory order —
-  /// then CandidateBlocks binary-searches instead of filtering.
+  /// then FoldPostings binary-searches instead of filtering.
   bool monotone_min_epochs_ = false;
   mutable std::atomic<std::uint64_t> blocks_decoded_{0};
 };

@@ -1,5 +1,6 @@
 #include "store/block.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "store/bitpack.h"
@@ -44,13 +45,19 @@ Status ValidateArchivable(const Event& event) {
 
 namespace {
 
+inline bool IsStartType(EventType type) {
+  return type == EventType::kStartLocation ||
+         type == EventType::kStartContainment;
+}
+
 inline bool IsEndType(EventType type) {
   return type == EventType::kEndLocation || type == EventType::kEndContainment;
 }
 
 /// The numeric columns of one block as flat zigzag-delta (and, for
 /// durations, plain) u64 arrays — the codec-independent intermediate both
-/// payload layouts serialize.
+/// payload layouts serialize. Decoding needs no such intermediate:
+/// DecodeEvents streams each column straight into the events.
 struct Columns {
   std::vector<std::uint64_t> objects;    // zigzag deltas
   std::vector<std::uint64_t> targets;    // zigzag deltas, two chains
@@ -101,112 +108,129 @@ void PutVarintColumn(const std::vector<std::uint64_t>& values,
   for (std::uint64_t value : values) PutVarint64(value, out);
 }
 
-Status GetVarintColumn(const std::uint8_t* in, std::size_t size,
-                       std::size_t* offset, std::size_t count,
-                       std::vector<std::uint64_t>* out) {
-  out->resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    auto value = GetVarint64(in, size, offset);
-    if (!value.ok()) return value.status();
-    (*out)[i] = value.value();
-  }
-  return Status::OK();
-}
-
-/// Undoes the zigzag-delta map in place: deltas -> absolute values.
-void PrefixDecode(std::vector<std::uint64_t>* values) {
-  std::uint64_t prev = 0;
-  for (std::uint64_t& value : *values) {
-    prev += static_cast<std::uint64_t>(ZigzagDecode(value));
-    value = prev;
-  }
-}
-
-/// Targets interleave two independent delta chains (container ids for
-/// containment events, location ids otherwise), so decoding picks the
-/// chain per event by its type.
-void PrefixDecodeTargets(const std::vector<EventType>& types,
-                         std::vector<std::uint64_t>* values) {
-  std::uint64_t prev_container = 0;
-  std::uint64_t prev_location = 0;
-  for (std::size_t i = 0; i < values->size(); ++i) {
-    std::uint64_t& prev =
-        IsContainmentEvent(types[i]) ? prev_container : prev_location;
-    prev += static_cast<std::uint64_t>(ZigzagDecode((*values)[i]));
-    (*values)[i] = prev;
-  }
-}
-
-/// Materializes events from fully decoded columns, applying the value
-/// checks both codecs share. `objects`, `targets`, `epochs` hold absolute
-/// values; `durations` is consumed in End-event order.
-Status MaterializeEvents(const std::vector<EventType>& types,
-                         const std::vector<std::uint64_t>& objects,
-                         const std::vector<std::uint64_t>& targets,
-                         const std::vector<std::uint64_t>& epochs,
-                         const std::vector<std::uint64_t>& durations,
-                         EventStream* out) {
-  const std::size_t count = types.size();
-  std::size_t next_duration = 0;
-  const std::size_t base = out->size();
-  out->resize(base + count);
-  for (std::size_t i = 0; i < count; ++i) {
-    Event& event = (*out)[base + i];
-    event.type = types[i];
-    event.object = objects[i];
-    if (IsContainmentEvent(types[i])) {
-      event.container = targets[i];
-    } else {
-      if (targets[i] > std::numeric_limits<LocationId>::max()) {
-        return Status::Corruption("location id out of range in block");
+/// Decodes the `n` values of the column at `in[*offset]` in order, handing
+/// each to `apply(i, value)`, and advances `*offset` past the column.
+/// Values go straight to their consumer: varint reads one at a time,
+/// bitpack unpacks one miniblock into a stack buffer at a time (miniblocks
+/// restart every kMiniblockValues values, so chunked unpacking is the same
+/// decode). An `apply` that returns false rejects its value as
+/// Corruption(`value_error`).
+template <typename Apply>
+Status DecodeColumn(BlockCodec codec, const std::uint8_t* in, std::size_t size,
+                    std::size_t* offset, std::size_t n,
+                    const char* value_error, Apply apply) {
+  if (codec == BlockCodec::kVarint) {
+    std::size_t pos = *offset;  // A local the loop can keep in a register.
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint64_t value = 0;
+      const char* error = nullptr;
+      if (!ReadVarint64(in, size, &pos, &value, &error)) {
+        return Status::Corruption(error);
       }
-      event.location = static_cast<LocationId>(targets[i]);
+      if (!apply(i, value)) return Status::Corruption(value_error);
     }
-    const Epoch primary = static_cast<Epoch>(epochs[i]);
-    if (primary < 0) {
-      return Status::Corruption("negative event timestamp in block");
-    }
-    switch (types[i]) {
-      case EventType::kStartLocation:
-      case EventType::kStartContainment:
-        event.start = primary;
-        event.end = kInfiniteEpoch;
-        break;
-      case EventType::kEndLocation:
-      case EventType::kEndContainment: {
-        const std::uint64_t start = static_cast<std::uint64_t>(primary) -
-                                    durations[next_duration++];
-        event.end = primary;
-        event.start = static_cast<Epoch>(start);
-        if (event.start < 0 || event.start > event.end) {
-          return Status::Corruption("End event duration out of range in block");
-        }
-        break;
-      }
-      case EventType::kMissing:
-        event.start = primary;
-        event.end = primary;
-        break;
+    *offset = pos;
+    return Status::OK();
+  }
+  std::uint64_t chunk[kMiniblockValues];
+  for (std::size_t first = 0; first < n; first += kMiniblockValues) {
+    const std::size_t m = std::min(kMiniblockValues, n - first);
+    SPIRE_RETURN_NOT_OK(UnpackColumn(in, size, offset, m, chunk));
+    for (std::size_t i = 0; i < m; ++i) {
+      if (!apply(first + i, chunk[i])) return Status::Corruption(value_error);
     }
   }
   return Status::OK();
 }
 
-Status DecodeTypes(const std::uint8_t* payload, std::size_t payload_size,
-                   std::uint32_t count, std::vector<EventType>* types,
-                   std::size_t* num_ends) {
-  if (payload_size < count) {
-    return Status::Corruption("block payload shorter than its type column");
-  }
-  types->resize(count);
-  *num_ends = 0;
+/// Decodes a block straight into `events[0, count)`: the types column,
+/// then each numeric column in turn, with no intermediate arrays.
+Status DecodeEvents(const std::uint8_t* payload, std::size_t payload_size,
+                    std::uint32_t count, BlockCodec codec, Event* events) {
+  std::size_t num_ends = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint8_t byte = payload[i];
     if (byte > static_cast<std::uint8_t>(EventType::kMissing)) {
       return Status::Corruption("unknown event type byte in block");
     }
-    (*types)[i] = static_cast<EventType>(byte);
-    if (IsEndType((*types)[i])) ++*num_ends;
+    events[i].type = static_cast<EventType>(byte);
+    if (IsEndType(events[i].type)) ++num_ends;
+  }
+  std::size_t offset = count;  // Past the types column.
+
+  // Objects: one zigzag-delta chain.
+  std::uint64_t prev_object = 0;
+  SPIRE_RETURN_NOT_OK(DecodeColumn(
+      codec, payload, payload_size, &offset, count, /*value_error=*/"",
+      [&](std::size_t i, std::uint64_t delta) {
+        prev_object += static_cast<std::uint64_t>(ZigzagDecode(delta));
+        events[i].object = prev_object;
+        return true;
+      }));
+
+  // Targets interleave two independent delta chains (container ids for
+  // containment events, location ids otherwise), picked per event by type.
+  std::uint64_t prev_container = 0;
+  std::uint64_t prev_location = 0;
+  SPIRE_RETURN_NOT_OK(DecodeColumn(
+      codec, payload, payload_size, &offset, count,
+      "location id out of range in block",
+      [&](std::size_t i, std::uint64_t delta) {
+        Event& event = events[i];
+        if (IsContainmentEvent(event.type)) {
+          prev_container += static_cast<std::uint64_t>(ZigzagDecode(delta));
+          event.container = prev_container;
+          return true;
+        }
+        prev_location += static_cast<std::uint64_t>(ZigzagDecode(delta));
+        if (prev_location > std::numeric_limits<LocationId>::max()) {
+          return false;
+        }
+        event.location = static_cast<LocationId>(prev_location);
+        return true;
+      }));
+
+  // Primary epochs. An End's start waits for its duration below.
+  std::uint64_t prev_epoch = 0;
+  SPIRE_RETURN_NOT_OK(DecodeColumn(
+      codec, payload, payload_size, &offset, count,
+      "negative event timestamp in block",
+      [&](std::size_t i, std::uint64_t delta) {
+        prev_epoch += static_cast<std::uint64_t>(ZigzagDecode(delta));
+        const Epoch primary = static_cast<Epoch>(prev_epoch);
+        if (primary < 0) return false;
+        Event& event = events[i];
+        event.start = primary;
+        event.end = IsStartType(event.type) ? kInfiniteEpoch : primary;
+        return true;
+      }));
+
+  // Durations: plain, one per End event, in End-event order.
+  std::size_t next_end = 0;
+  SPIRE_RETURN_NOT_OK(DecodeColumn(
+      codec, payload, payload_size, &offset, num_ends,
+      "End event duration out of range in block",
+      [&](std::size_t, std::uint64_t duration) {
+        while (!IsEndType(events[next_end].type)) ++next_end;
+        Event& event = events[next_end++];
+        event.start = static_cast<Epoch>(
+            static_cast<std::uint64_t>(event.end) - duration);
+        return event.start >= 0 && event.start <= event.end;
+      }));
+
+  if (codec == BlockCodec::kVarint) {
+    if (offset != payload_size) {
+      return Status::Corruption("trailing bytes after the block columns");
+    }
+    return Status::OK();
+  }
+  if (offset + kBitpackPadBytes != payload_size) {
+    return Status::Corruption("trailing bytes after the block columns");
+  }
+  for (std::size_t i = offset; i < payload_size; ++i) {
+    if (payload[i] != 0) {
+      return Status::Corruption("nonzero bitpack payload pad");
+    }
   }
   return Status::OK();
 }
@@ -265,58 +289,20 @@ Result<EncodedBlock> EncodeBlock(const EventStream& events, std::size_t first,
 
 Status DecodeBlock(const std::uint8_t* payload, std::size_t payload_size,
                    std::uint32_t count, BlockCodec codec, EventStream* out) {
-  std::vector<EventType> types;
-  std::size_t num_ends = 0;
-  SPIRE_RETURN_NOT_OK(DecodeTypes(payload, payload_size, count, &types,
-                                  &num_ends));
-  std::size_t offset = count;
-
-  Columns columns;
-  switch (codec) {
-    case BlockCodec::kVarint:
-      SPIRE_RETURN_NOT_OK(GetVarintColumn(payload, payload_size, &offset,
-                                          count, &columns.objects));
-      SPIRE_RETURN_NOT_OK(GetVarintColumn(payload, payload_size, &offset,
-                                          count, &columns.targets));
-      SPIRE_RETURN_NOT_OK(GetVarintColumn(payload, payload_size, &offset,
-                                          count, &columns.epochs));
-      SPIRE_RETURN_NOT_OK(GetVarintColumn(payload, payload_size, &offset,
-                                          num_ends, &columns.durations));
-      if (offset != payload_size) {
-        return Status::Corruption("trailing bytes after the block columns");
-      }
-      break;
-    case BlockCodec::kBitpack: {
-      columns.objects.resize(count);
-      columns.targets.resize(count);
-      columns.epochs.resize(count);
-      columns.durations.resize(num_ends);
-      SPIRE_RETURN_NOT_OK(UnpackColumn(payload, payload_size, &offset, count,
-                                       columns.objects.data()));
-      SPIRE_RETURN_NOT_OK(UnpackColumn(payload, payload_size, &offset, count,
-                                       columns.targets.data()));
-      SPIRE_RETURN_NOT_OK(UnpackColumn(payload, payload_size, &offset, count,
-                                       columns.epochs.data()));
-      SPIRE_RETURN_NOT_OK(UnpackColumn(payload, payload_size, &offset,
-                                       num_ends, columns.durations.data()));
-      if (offset + kBitpackPadBytes != payload_size) {
-        return Status::Corruption("trailing bytes after the block columns");
-      }
-      for (std::size_t i = offset; i < payload_size; ++i) {
-        if (payload[i] != 0) {
-          return Status::Corruption("nonzero bitpack payload pad");
-        }
-      }
-      break;
-    }
-    default:
-      return Status::Corruption("unknown block codec");
+  if (codec != BlockCodec::kVarint && codec != BlockCodec::kBitpack) {
+    return Status::Corruption("unknown block codec");
   }
-  PrefixDecode(&columns.objects);
-  PrefixDecodeTargets(types, &columns.targets);
-  PrefixDecode(&columns.epochs);
-  return MaterializeEvents(types, columns.objects, columns.targets,
-                           columns.epochs, columns.durations, out);
+  if (payload_size < count) {
+    return Status::Corruption("block payload shorter than its type column");
+  }
+  // Events are decoded in place in `out`'s tail; a failure takes them back
+  // out, so `out` is unchanged unless the whole block decodes.
+  const std::size_t base = out->size();
+  out->resize(base + count);
+  Status status =
+      DecodeEvents(payload, payload_size, count, codec, out->data() + base);
+  if (!status.ok()) out->resize(base);
+  return status;
 }
 
 Status DecodeBlockEpochs(const std::uint8_t* payload,
@@ -341,9 +327,11 @@ Status DecodeBlockEpochs(const std::uint8_t* payload,
         SPIRE_RETURN_NOT_OK(SkipVarint64(payload, payload_size, &offset));
       }
       for (std::uint32_t i = 0; i < count; ++i) {
-        auto value = GetVarint64(payload, payload_size, &offset);
-        if (!value.ok()) return value.status();
-        deltas[i] = value.value();
+        const char* error = nullptr;
+        if (!ReadVarint64(payload, payload_size, &offset, &deltas[i],
+                          &error)) {
+          return Status::Corruption(error);
+        }
       }
       break;
     case BlockCodec::kBitpack:

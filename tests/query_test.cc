@@ -421,6 +421,252 @@ TEST_F(SegmentLogTest, ConcurrentQueriesAgree) {
   EXPECT_LE(log_->blocks_decoded(), stats.misses);
 }
 
+// --- The one-pass fold over many blocks -------------------------------------
+
+const ObjectId kItem3 = Obj(PackagingLevel::kItem, 5);
+const ObjectId kItem4 = Obj(PackagingLevel::kItem, 6);
+
+/// Stays that stress the fold's Start/End pairing, archived two events a
+/// block so every stay spans blocks:
+///   item:  loc 5 [10,20), [25,35), [40,open): re-enters one location;
+///          missing [20,25); in the case [10,45)
+///   item2: loc 5 [10,30), ending exactly where item3's stay starts;
+///          in the case from 45, open
+///   item3: loc 5 [30,50): for every cut t < 50 its End lies in a block
+///          past the cut
+///   item4: loc 6 [15,60)
+///   case:  loc 6 [12,open); in the pallet from 12, open
+EventStream RevisitStream() {
+  return {
+      Event::StartLocation(kItem, 5, 10),
+      Event::StartLocation(kItem2, 5, 10),
+      Event::StartContainment(kItem, kCase, 10),
+      Event::StartLocation(kCase, 6, 12),
+      Event::StartContainment(kCase, kPallet, 12),
+      Event::StartLocation(kItem4, 6, 15),
+      Event::EndLocation(kItem, 5, 10, 20),
+      Event::Missing(kItem, 5, 20),
+      Event::StartLocation(kItem, 5, 25),
+      Event::EndLocation(kItem2, 5, 10, 30),
+      Event::StartLocation(kItem3, 5, 30),
+      Event::EndLocation(kItem, 5, 25, 35),
+      Event::StartLocation(kItem, 5, 40),
+      Event::EndContainment(kItem, kCase, 10, 45),
+      Event::StartContainment(kItem2, kCase, 45),
+      Event::EndLocation(kItem3, 5, 30, 50),
+      Event::EndLocation(kItem4, 6, 15, 60),
+  };
+}
+
+std::string WriteArchive(const std::string& name, const EventStream& stream,
+                         std::size_t block_events) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::error_code ec;
+  std::filesystem::remove(path, ec);
+  std::filesystem::remove(IndexPathFor(path), ec);
+  ArchiveOptions options;
+  options.block_events = block_events;
+  auto writer = ArchiveWriter::Open(path, options);
+  EXPECT_TRUE(writer.ok());
+  EXPECT_TRUE(writer.value()->Append(stream).ok());
+  EXPECT_TRUE(writer.value()->Close().ok());
+  return path;
+}
+
+/// All six kinds through `direct` equal `log`'s for every key at every
+/// listed epoch.
+void ExpectAllKindsMatch(const SegmentLog& direct, const EventLog& log,
+                         const std::vector<ObjectId>& objects,
+                         const std::vector<LocationId>& locations,
+                         const std::vector<Epoch>& epochs) {
+  for (ObjectId object : objects) {
+    auto trajectory = direct.TrajectoryOf(object);
+    ASSERT_TRUE(trajectory.ok());
+    EXPECT_EQ(trajectory.value(), log.TrajectoryOf(object))
+        << "TrajectoryOf(" << object << ")";
+    for (Epoch epoch : epochs) {
+      const std::string at = "(" + std::to_string(object) + ", " +
+                             std::to_string(epoch) + ")";
+      auto location = direct.LocationAt(object, epoch);
+      ASSERT_TRUE(location.ok());
+      EXPECT_EQ(location.value(), log.LocationAt(object, epoch))
+          << "LocationAt" << at;
+      auto container = direct.ContainerAt(object, epoch);
+      ASSERT_TRUE(container.ok());
+      EXPECT_EQ(container.value(), log.ContainerAt(object, epoch))
+          << "ContainerAt" << at;
+      auto missing = direct.IsMissingAt(object, epoch);
+      ASSERT_TRUE(missing.ok());
+      EXPECT_EQ(missing.value(), log.IsMissingAt(object, epoch))
+          << "IsMissingAt" << at;
+      for (bool transitive : {false, true}) {
+        auto contents = direct.ContentsAt(object, epoch, transitive);
+        ASSERT_TRUE(contents.ok());
+        EXPECT_EQ(contents.value(), log.ContentsAt(object, epoch, transitive))
+            << "ContentsAt" << at << " transitive=" << transitive;
+      }
+    }
+  }
+  for (LocationId location : locations) {
+    for (Epoch epoch : epochs) {
+      auto objects_at = direct.ObjectsAt(location, epoch);
+      ASSERT_TRUE(objects_at.ok());
+      EXPECT_EQ(objects_at.value(), log.ObjectsAt(location, epoch))
+          << "ObjectsAt(" << location << ", " << epoch << ")";
+    }
+  }
+}
+
+TEST(SegmentLogFoldTest, AllKindsMatchEventLogAtEveryEpoch) {
+  const std::string path =
+      WriteArchive("segment_fold.sparc", RevisitStream(), 2);
+  auto uncached = SegmentLog::Open(path);
+  ASSERT_TRUE(uncached.ok());
+  ASSERT_GT(uncached.value()->reader().num_blocks(), 8u);
+  // A one-byte, one-shard cache keeps only the block just inserted, so
+  // every fold evicts while it walks.
+  auto one_block = std::make_shared<BlockCache>(1, 1);
+  auto cached = SegmentLog::Open(path, ReaderOptions{}, one_block);
+  ASSERT_TRUE(cached.ok());
+  auto baseline =
+      EventLog::FromArchive(uncached.value()->reader(), 0, kInfiniteEpoch);
+  ASSERT_TRUE(baseline.ok());
+
+  const std::vector<ObjectId> objects{kItem,  kItem2,  kItem3, kItem4,
+                                      kCase,  kPallet, Obj(PackagingLevel::kItem, 99)};
+  const std::vector<LocationId> locations{5, 6, 9};
+  std::vector<Epoch> epochs;
+  for (Epoch epoch = 0; epoch <= 70; ++epoch) epochs.push_back(epoch);
+  ExpectAllKindsMatch(*uncached.value(), baseline.value(), objects, locations,
+                      epochs);
+  ExpectAllKindsMatch(*cached.value(), baseline.value(), objects, locations,
+                      epochs);
+  EXPECT_GT(one_block->GetStats().evictions, 0u);
+
+  // The designed edges, spelled out.
+  const SegmentLog& log = *cached.value();
+  EXPECT_EQ(log.ObjectsAt(5, 30).value(),
+            (std::vector<ObjectId>{kItem, kItem3}));  // item2 ends at 30.
+  EXPECT_EQ(log.ObjectsAt(5, 49).value(), (std::vector<ObjectId>{kItem, kItem3}));
+  EXPECT_EQ(log.ObjectsAt(5, 50).value(), std::vector<ObjectId>{kItem});
+  EXPECT_EQ(log.LocationAt(kItem, 1000).value(), 5);  // Open to the end.
+  EXPECT_TRUE(log.IsMissingAt(kItem, 24).value());
+  EXPECT_FALSE(log.IsMissingAt(kItem, 25).value());
+  EXPECT_EQ(log.ContentsAt(kPallet, 44, true).value(),
+            (std::vector<ObjectId>{kItem, kCase}));
+  EXPECT_EQ(log.ContentsAt(kPallet, 45, true).value(),
+            (std::vector<ObjectId>{kItem2, kCase}));
+  auto trajectory = log.TrajectoryOf(kItem);
+  ASSERT_TRUE(trajectory.ok());
+  ASSERT_EQ(trajectory.value().size(), 3u);
+  EXPECT_EQ(trajectory.value()[2].start, 40);
+  EXPECT_EQ(trajectory.value()[2].end, kInfiniteEpoch);
+}
+
+TEST(SegmentLogFoldTest, CutSkipsLaterBlocksOnANonMonotoneDirectory) {
+  // Block min-epochs 50, 10, 60: no binary-searched prefix exists, so the
+  // fold filters block by block.
+  const EventStream stream{
+      Event::StartLocation(kItem, 5, 50),
+      Event::StartLocation(kItem2, 5, 50),
+      Event::StartLocation(kItem3, 5, 10),
+      Event::EndLocation(kItem3, 5, 10, 20),
+      Event::EndLocation(kItem, 5, 50, 60),
+      Event::EndLocation(kItem2, 5, 50, 70),
+  };
+  const std::string path = WriteArchive("segment_nonmonotone.sparc", stream, 2);
+  auto direct = SegmentLog::Open(path);
+  ASSERT_TRUE(direct.ok());
+  ASSERT_EQ(direct.value()->reader().num_blocks(), 3u);
+  auto baseline =
+      EventLog::FromArchive(direct.value()->reader(), 0, kInfiniteEpoch);
+  ASSERT_TRUE(baseline.ok());
+
+  auto at15 = direct.value()->ObjectsAt(5, 15);
+  ASSERT_TRUE(at15.ok());
+  EXPECT_EQ(at15.value(), std::vector<ObjectId>{kItem3});
+  EXPECT_EQ(direct.value()->blocks_decoded(), 1u);  // Only min-epoch 10.
+
+  std::vector<Epoch> epochs;
+  for (Epoch epoch = 0; epoch <= 80; epoch += 5) epochs.push_back(epoch);
+  ExpectAllKindsMatch(*direct.value(), baseline.value(),
+                      {kItem, kItem2, kItem3}, {5}, epochs);
+}
+
+TEST(SegmentLogFoldTest, CutIsAPrefixOnAMonotoneDirectory) {
+  // Block min-epochs 10, 50, 60: the candidates at epoch t are the blocks
+  // up to the last min-epoch <= t, found by binary search with no
+  // per-block test.
+  const EventStream stream{
+      Event::StartLocation(kItem3, 5, 10),
+      Event::EndLocation(kItem3, 5, 10, 20),
+      Event::StartLocation(kItem, 5, 50),
+      Event::StartLocation(kItem2, 5, 50),
+      Event::EndLocation(kItem, 5, 50, 60),
+      Event::EndLocation(kItem2, 5, 50, 70),
+  };
+  const std::string path = WriteArchive("segment_monotone.sparc", stream, 2);
+  auto direct = SegmentLog::Open(path);
+  ASSERT_TRUE(direct.ok());
+  ASSERT_EQ(direct.value()->reader().num_blocks(), 3u);
+
+  auto at15 = direct.value()->ObjectsAt(5, 15);
+  ASSERT_TRUE(at15.ok());
+  EXPECT_EQ(at15.value(), std::vector<ObjectId>{kItem3});
+  EXPECT_EQ(direct.value()->blocks_decoded(), 1u);  // Only min-epoch 10.
+  auto at55 = direct.value()->ObjectsAt(5, 55);
+  ASSERT_TRUE(at55.ok());
+  EXPECT_EQ(at55.value(), (std::vector<ObjectId>{kItem, kItem2}));
+  EXPECT_EQ(direct.value()->blocks_decoded(), 3u);  // Then the first two.
+}
+
+TEST(SegmentLogFoldTest, SimulatedArchiveMatchesEventLog) {
+  // Hundreds of objects pass the door and the shelves, so the fold's open
+  // index grows, wraps its probe runs and removes keys mid-run.
+  SimConfig config;
+  config.duration_epochs = 900;
+  config.pallet_interval = 150;
+  config.items_per_case = 6;
+  config.mean_shelf_stay = 300;
+  config.shelf_period = 20;
+  auto sim = WarehouseSimulator::Create(config);
+  ASSERT_TRUE(sim.ok());
+  WarehouseSimulator& s = *sim.value();
+  SpirePipeline pipeline(&s.registry(), PipelineOptions{});
+  EventStream events;
+  while (!s.Done()) {
+    EpochReadings readings = s.Step();
+    pipeline.ProcessEpoch(s.current_epoch(), std::move(readings), &events);
+  }
+  pipeline.Finish(s.current_epoch() + 1, &events);
+
+  const std::string path = WriteArchive("segment_sim.sparc", events, 64);
+  auto direct = SegmentLog::Open(path, ReaderOptions{},
+                                 std::make_shared<BlockCache>(64 * 1024));
+  ASSERT_TRUE(direct.ok());
+  auto baseline =
+      EventLog::FromArchive(direct.value()->reader(), 0, kInfiniteEpoch);
+  ASSERT_TRUE(baseline.ok());
+  const EventLog& log = baseline.value();
+
+  std::vector<ObjectId> objects;
+  const std::vector<ObjectId> all = log.Objects();
+  for (std::size_t i = 0; i < all.size(); i += 7) objects.push_back(all[i]);
+  std::vector<LocationId> locations;
+  for (const auto& [location, blocks] :
+       direct.value()->reader().location_postings()) {
+    locations.push_back(location);
+  }
+  std::vector<Epoch> epochs;
+  for (Epoch epoch = log.first_epoch(); epoch <= log.last_epoch() + 1;
+       epoch += 97) {
+    epochs.push_back(epoch);
+  }
+  epochs.push_back(log.last_epoch() + 1);
+  ASSERT_GT(objects.size(), 20u);
+  ExpectAllKindsMatch(*direct.value(), log, objects, locations, epochs);
+}
+
 // --- Block cache (src/query/block_cache) ------------------------------------
 
 BlockCache::BlockPtr BlockOf(std::size_t events) {

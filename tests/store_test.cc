@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <utility>
 
 #include "common/epc.h"
 #include "compress/well_formed.h"
@@ -183,6 +184,60 @@ TEST(VarintTest, RejectsNonCanonicalPadding) {
   auto decoded = GetVarint64(zero, &offset);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded.value(), 0u);
+}
+
+TEST(VarintTest, SkipStopsWhereTheStrictReadStops) {
+  // SkipVarint64 is the shared reader without the canonicality checks: on
+  // every encoding the strict read accepts it lands on the same offset,
+  // it steps over the padded and overflowing ones the strict read names,
+  // and both fail on truncation and on over-long encodings.
+  std::vector<std::vector<std::uint8_t>> encodings;
+  for (int bits = 0; bits <= 64; ++bits) {
+    const std::uint64_t value = bits == 64 ? ~0ull : (1ull << bits) - 1;
+    std::vector<std::uint8_t> bytes;
+    PutVarint64(value, &bytes);
+    encodings.push_back(bytes);
+  }
+  for (const std::vector<std::uint8_t>& bytes : encodings) {
+    std::vector<std::uint8_t> followed = bytes;
+    followed.push_back(0x05);  // The next value's byte.
+    std::size_t read_offset = 0;
+    std::size_t skip_offset = 0;
+    ASSERT_TRUE(GetVarint64(followed, &read_offset).ok());
+    ASSERT_TRUE(
+        SkipVarint64(followed.data(), followed.size(), &skip_offset).ok());
+    EXPECT_EQ(skip_offset, read_offset);
+    EXPECT_EQ(skip_offset, bytes.size());
+  }
+  std::vector<std::uint8_t> overflow(9, 0x80);
+  overflow.push_back(0x02);  // A tenth byte beyond bit 63.
+  const std::pair<std::vector<std::uint8_t>, const char*> lenient[] = {
+      {{0x80, 0x00}, "non-canonical varint padding"},
+      {overflow, "varint overflows 64 bits"},
+  };
+  for (const auto& [bytes, message] : lenient) {
+    std::size_t read_offset = 0;
+    std::size_t skip_offset = 0;
+    auto read = GetVarint64(bytes, &read_offset);
+    ASSERT_FALSE(read.ok());
+    EXPECT_EQ(read.status().message(), message);
+    ASSERT_TRUE(SkipVarint64(bytes.data(), bytes.size(), &skip_offset).ok());
+    EXPECT_EQ(skip_offset, bytes.size());
+  }
+  // Eleven continuation bytes: the strict read stops at the tenth (it
+  // overflows), the skip at the length bound.
+  const std::pair<std::vector<std::uint8_t>, const char*> broken[] = {
+      {{0x80, 0x80}, "truncated varint"},
+      {std::vector<std::uint8_t>(11, 0x80), "varint longer than 10 bytes"},
+  };
+  for (const auto& [bytes, message] : broken) {
+    std::size_t read_offset = 0;
+    std::size_t skip_offset = 0;
+    EXPECT_FALSE(GetVarint64(bytes, &read_offset).ok());
+    Status skip = SkipVarint64(bytes.data(), bytes.size(), &skip_offset);
+    ASSERT_FALSE(skip.ok());
+    EXPECT_EQ(skip.message(), message);
+  }
 }
 
 TEST(VarintTest, ZigzagRoundTrips) {
@@ -1153,6 +1208,67 @@ TEST(ArchiveEndToEndTest, SimulatorScenariosRoundTripLossless) {
       auto ranged = reader.value().ScanRange(lo, hi);
       ASSERT_TRUE(ranged.ok());
       EXPECT_EQ(ranged.value(), FilterByPrimary(events, lo, hi));
+    }
+  }
+}
+
+TEST(ArchiveEndToEndTest, EveryBlockOfASimulatedStreamDecodesToItsEvents) {
+  SimConfig config;
+  config.duration_epochs = 900;
+  config.pallet_interval = 150;
+  config.items_per_case = 6;
+  config.mean_shelf_stay = 300;
+  config.shelf_period = 20;
+  config.read_rate = 0.8;
+  const std::string path = TempPath("blocks.sparc");
+  RemoveArchive(path);
+  auto writer = ArchiveWriter::Open(path);
+  ASSERT_TRUE(writer.ok());
+  const EventStream events = RunPipelineWithArchive(
+      config, CompressionLevel::kLevel2, writer.value().get());
+  ASSERT_TRUE(writer.value()->Close().ok());
+  ASSERT_GT(events.size(), 1000u);
+
+  // 300-event blocks span three bitpack miniblocks per column.
+  constexpr std::size_t kBlockEvents = 300;
+  for (BlockCodec codec : {BlockCodec::kVarint, BlockCodec::kBitpack}) {
+    EventStream decoded;
+    for (std::size_t first = 0; first < events.size();
+         first += kBlockEvents) {
+      const std::size_t count =
+          std::min(kBlockEvents, events.size() - first);
+      auto block = EncodeBlock(events, first, count, codec);
+      ASSERT_TRUE(block.ok());
+      // Each decode appends after the blocks before it.
+      ASSERT_TRUE(DecodeBlock(block.value().payload.data(),
+                              block.value().payload.size(), count, codec,
+                              &decoded)
+                      .ok());
+      ASSERT_EQ(decoded.size(), first + count);
+      EXPECT_TRUE(std::equal(events.begin() + static_cast<long>(first),
+                             events.begin() + static_cast<long>(first + count),
+                             decoded.begin() + static_cast<long>(first)))
+          << "block at " << first << ", codec "
+          << static_cast<int>(codec);
+    }
+  }
+}
+
+TEST(BlockCodecTest, FailedDecodeLeavesTheOutputUnchanged) {
+  const EventStream stream = LongStream(3);
+  for (BlockCodec codec : {BlockCodec::kVarint, BlockCodec::kBitpack}) {
+    auto encoded = EncodeBlock(stream, 0, stream.size(), codec);
+    ASSERT_TRUE(encoded.ok());
+    const std::vector<std::uint8_t>& payload = encoded.value().payload;
+    const EventStream prefix = SampleStream();
+    // Every truncation fails somewhere in a column; what was decoded of
+    // the block before the failure must not stay behind.
+    for (std::size_t cut = stream.size(); cut < payload.size(); ++cut) {
+      EventStream out = prefix;
+      EXPECT_FALSE(DecodeBlock(payload.data(), cut, encoded.value().count,
+                               codec, &out)
+                       .ok());
+      EXPECT_EQ(out, prefix) << "cut " << cut;
     }
   }
 }

