@@ -17,7 +17,11 @@
 //     decodes zero-copy with once-per-reader payload validation; together
 //     they must beat the seed reader configuration (buffered varint) by
 //     >= kEpochSpeedupFloor x — asserted hard, and written to
-//     BENCH_archive.json for tools/bench_compare.py to track.
+//     BENCH_archive.json for tools/bench_compare.py to track. The floor's
+//     baseline is a frozen copy of that reader's epoch scan (namespace
+//     seed_reader below), not the current buffered-varint arm: a faster
+//     shared varint decoder speeds that arm too and would fail the floor
+//     with no regression anywhere.
 //
 //   ./expt9_archive [full=true] [block_events=N] [<SimConfig key>=value ...]
 //
@@ -26,6 +30,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -36,6 +41,9 @@
 #include "sim/simulator.h"
 #include "store/archive_reader.h"
 #include "store/archive_writer.h"
+#include "store/crc32.h"
+#include "store/format.h"
+#include "store/varint.h"
 
 using namespace spire;
 using namespace spire::bench;
@@ -132,6 +140,132 @@ double BestEpochScanSeconds(const ArchiveReader& reader, int reps,
     Check(epochs.status(), "epoch-column scan");
     if (epochs.value() != expect) {
       std::fprintf(stderr, "epoch-column scan diverged from full decode\n");
+      std::exit(1);
+    }
+    best = std::min(best, elapsed);
+  }
+  return best;
+}
+
+/// The seed reader configuration's epoch-column scan, frozen: buffered
+/// reads with a payload CRC per block and per scan, and the strict
+/// one-byte-at-a-time varint decode, as the reader stood before any
+/// varint fast path. Only the floor's baseline runs it; nothing else may,
+/// so changes to the shared store code cannot move the baseline.
+namespace seed_reader {
+
+Result<std::uint64_t> GetVarint64(const std::uint8_t* in, std::size_t size,
+                                  std::size_t* offset) {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < kMaxVarintBytes; ++i) {
+    if (*offset >= size) {
+      return Status::Corruption("truncated varint");
+    }
+    const std::uint8_t byte = in[(*offset)++];
+    if (i == kMaxVarintBytes - 1 && byte > 1) {
+      return Status::Corruption("varint overflows 64 bits");
+    }
+    value |= static_cast<std::uint64_t>(byte & 0x7f) << (7 * i);
+    if ((byte & 0x80) == 0) {
+      if (byte == 0 && i > 0) {
+        return Status::Corruption("non-canonical varint padding");
+      }
+      return value;
+    }
+  }
+  return Status::Corruption("varint longer than 10 bytes");
+}
+
+Status SkipVarint64(const std::uint8_t* in, std::size_t size,
+                    std::size_t* offset) {
+  for (std::size_t i = 0; i < kMaxVarintBytes; ++i) {
+    if (*offset >= size) return Status::Corruption("truncated varint");
+    if ((in[(*offset)++] & 0x80) == 0) return Status::OK();
+  }
+  return Status::Corruption("varint longer than 10 bytes");
+}
+
+Status DecodeBlockEpochs(const std::uint8_t* payload,
+                         std::size_t payload_size, std::uint32_t count,
+                         std::vector<Epoch>* out) {
+  if (payload_size < count) {
+    return Status::Corruption("block payload shorter than its type column");
+  }
+  std::size_t offset = count;  // Types carry no epoch data; jump them.
+  const std::size_t base = out->size();
+  out->resize(base + count);
+  auto* deltas = reinterpret_cast<std::uint64_t*>(out->data() + base);
+  for (std::uint32_t i = 0; i < 2 * count; ++i) {
+    SPIRE_RETURN_NOT_OK(SkipVarint64(payload, payload_size, &offset));
+  }
+  for (std::uint32_t i = 0; i < count; ++i) {
+    auto value = GetVarint64(payload, payload_size, &offset);
+    if (!value.ok()) return value.status();
+    deltas[i] = value.value();
+  }
+  std::uint64_t prev = 0;
+  std::uint64_t sign = 0;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    prev += static_cast<std::uint64_t>(ZigzagDecode(deltas[i]));
+    sign |= prev;
+    deltas[i] = prev;
+  }
+  if ((sign >> 63) != 0) {
+    return Status::Corruption("negative event timestamp in block");
+  }
+  return Status::OK();
+}
+
+/// The whole epoch column of a varint segment, block by block from the
+/// file.
+Result<std::vector<Epoch>> ScanEpochColumn(const ArchiveReader& reader) {
+  std::ifstream in(reader.path(), std::ios::binary);
+  if (!in) return Status::NotFound("cannot open " + reader.path());
+  const std::uint16_t version = reader.format_version();
+  const std::size_t header_bytes = BlockHeaderBytes(version);
+  std::vector<std::uint8_t> buffer;
+  std::vector<Epoch> epochs;
+  epochs.reserve(reader.num_events());
+  for (const BlockMeta& meta : reader.blocks()) {
+    buffer.resize(header_bytes);
+    in.seekg(static_cast<std::streamoff>(meta.offset));
+    in.read(reinterpret_cast<char*>(buffer.data()),
+            static_cast<std::streamsize>(header_bytes));
+    if (!in.good()) return Status::Corruption("truncated block header");
+    auto parsed = ParseBlockHeader(buffer.data(), version);
+    if (!parsed.ok()) return parsed.status();
+    const BlockHeader header = parsed.value();
+    if (header.codec != BlockCodec::kVarint) {
+      return Status::InvalidArgument("the seed reader reads varint only");
+    }
+    buffer.resize(header_bytes + header.payload_size);
+    in.read(reinterpret_cast<char*>(buffer.data() + header_bytes),
+            static_cast<std::streamsize>(header.payload_size));
+    if (!in.good()) return Status::Corruption("truncated block payload");
+    const std::uint8_t* payload = buffer.data() + header_bytes;
+    if (Crc32(payload, header.payload_size) != header.payload_crc) {
+      return Status::Corruption("block payload checksum mismatch");
+    }
+    SPIRE_RETURN_NOT_OK(DecodeBlockEpochs(payload, header.payload_size,
+                                          header.count, &epochs));
+  }
+  return epochs;
+}
+
+}  // namespace seed_reader
+
+/// Best-of-`reps` wall time of the frozen seed reader's epoch scan, checked
+/// like BestEpochScanSeconds.
+double BestSeedScanSeconds(const ArchiveReader& reader, int reps,
+                           const std::vector<Epoch>& expect) {
+  double best = 1e30;
+  for (int rep = 0; rep < reps; ++rep) {
+    auto t0 = std::chrono::steady_clock::now();
+    auto epochs = seed_reader::ScanEpochColumn(reader);
+    const double elapsed = Seconds(t0);
+    Check(epochs.status(), "seed-reader epoch-column scan");
+    if (epochs.value() != expect) {
+      std::fprintf(stderr, "seed-reader epoch scan diverged from full decode\n");
       std::exit(1);
     }
     best = std::min(best, elapsed);
@@ -267,8 +401,22 @@ int main(int argc, char** argv) {
     }
   }
 
+  // The seed reader configuration (before format v2 the reader was
+  // buffered and varint-only), frozen: the floor's baseline.
+  double seed_s = 0.0;
+  {
+    ReaderOptions reader_options;
+    reader_options.use_mmap = false;
+    auto r = ArchiveReader::Open(varint.path, reader_options);
+    Check(r.status(), "seed-reader open");
+    seed_s = BestSeedScanSeconds(r.value(), reps, expect);
+  }
+
   TextTable shootout({"codec", "transport", "mapped", "best ms",
                       "Mepochs/s"});
+  shootout.AddRow({"varint (seed reader, frozen)", "buffered", "no",
+                   TextTable::Num(seed_s * 1e3, 3),
+                   TextTable::Num(n / seed_s / 1e6, 2)});
   for (const Cell& cell : cells) {
     shootout.AddRow({cell.codec, cell.transport, cell.mapped ? "yes" : "no",
                      TextTable::Num(cell.best_s * 1e3, 3),
@@ -276,24 +424,25 @@ int main(int argc, char** argv) {
   }
   shootout.Print();
 
-  // The gated ratio is new fast path vs the seed reader configuration:
-  // before format v2 the reader was buffered and varint-only, so
-  // cells[0] (varint/buffered) is the baseline and cells[3]
+  // The gated ratio is new fast path vs the frozen seed reader: cells[3]
   // (bitpack/mmap) is what this subsystem buys. The same-transport ratio
   // (cells[3]/cells[1]) isolates the codec alone and is reported but not
-  // floored — the shared zigzag/prefix pass bounds it tighter.
-  const double baseline_rate = n / cells[0].best_s;
+  // floored — the shared zigzag/prefix pass bounds it tighter — as is the
+  // ratio to the current buffered-varint arm (cells[0]).
+  const double baseline_rate = n / seed_s;
   const double varint_mmap_rate = n / cells[1].best_s;
   const double bitpack_mmap_rate = n / cells[3].best_s;
   const double speedup = bitpack_mmap_rate / baseline_rate;
   const double codec_speedup = bitpack_mmap_rate / varint_mmap_rate;
-  std::printf("epoch-column speedup: %.2fx vs seed reader (buffered "
-              "varint; floor %.0fx), %.2fx vs varint on mmap\n",
-              speedup, kEpochSpeedupFloor, codec_speedup);
+  std::printf("epoch-column speedup: %.2fx vs the frozen seed reader "
+              "(buffered varint; floor %.0fx), %.2fx vs today's buffered "
+              "varint, %.2fx vs varint on mmap\n",
+              speedup, kEpochSpeedupFloor,
+              bitpack_mmap_rate * cells[0].best_s / n, codec_speedup);
   if (speedup < kEpochSpeedupFloor) {
     std::fprintf(stderr,
-                 "FAIL: bitpack/mmap epoch-column scan is %.2fx the "
-                 "buffered-varint baseline, below the %.0fx floor\n",
+                 "FAIL: bitpack/mmap epoch-column scan is %.2fx the frozen "
+                 "seed reader's, below the %.0fx floor\n",
                  speedup, kEpochSpeedupFloor);
     return 1;
   }
@@ -303,6 +452,7 @@ int main(int argc, char** argv) {
   report.Add("flat_bytes", static_cast<double>(flat_bytes));
   report.Add("varint_bytes", static_cast<double>(varint.bytes));
   report.Add("bitpack_bytes", static_cast<double>(bitpack.bytes));
+  report.Add("seed_reader_epochs_per_sec", baseline_rate);
   report.Add("varint_buffered_epochs_per_sec", n / cells[0].best_s);
   report.Add("varint_mmap_epochs_per_sec", varint_mmap_rate);
   report.Add("bitpack_buffered_epochs_per_sec", n / cells[2].best_s);

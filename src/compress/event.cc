@@ -1,6 +1,8 @@
 #include "compress/event.h"
 
+#include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "common/epc.h"
 
@@ -87,6 +89,32 @@ std::vector<ChurnSplice> CancelLocationChurn(EventStream* events,
   const std::size_t n = events->size();
   std::vector<bool> removed(n - first, false);
 
+  // Per-object chains: next[i - first] is the position of the object's next
+  // location message after i (n at the chain's end). Every rule below only
+  // ever looks at an object's next surviving location message, so walking
+  // the chains visits exactly what a forward scan past other objects'
+  // messages would, in time linear in the slice (plus one sort).
+  std::vector<std::size_t> next(n - first, n);
+  {
+    std::vector<std::pair<ObjectId, std::size_t>> chain;
+    for (std::size_t i = first; i < n; ++i) {
+      const Event& event = (*events)[i];
+      if (IsLocationEvent(event.type)) chain.emplace_back(event.object, i);
+    }
+    std::sort(chain.begin(), chain.end());
+    for (std::size_t k = 1; k < chain.size(); ++k) {
+      if (chain[k].first == chain[k - 1].first) {
+        next[chain[k - 1].second - first] = chain[k].second;
+      }
+    }
+  }
+  // The object's next location message after i that is still in the slice.
+  auto next_live = [&](std::size_t i) {
+    std::size_t j = next[i - first];
+    while (j < n && removed[j - first]) j = next[j - first];
+    return j;
+  };
+
   // Pass 1: zero-length stays superseded by another stay at the same epoch.
   for (std::size_t i = first; i < n; ++i) {
     const Event& start_event = (*events)[i];
@@ -94,88 +122,62 @@ std::vector<ChurnSplice> CancelLocationChurn(EventStream* events,
       continue;
     }
     // The stay's close must be its very next location message...
-    std::size_t close = n;
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const Event& later = (*events)[j];
-      if (removed[j - first] || later.object != start_event.object ||
-          !IsLocationEvent(later.type)) {
-        continue;
-      }
-      if (later.type == EventType::kEndLocation &&
-          later.location == start_event.location &&
-          later.start == start_event.start &&
-          later.end == start_event.start) {
-        close = j;
-      }
-      break;
-    }
+    const std::size_t close = next_live(i);
     if (close == n) continue;
+    const Event& end_event = (*events)[close];
+    if (end_event.type != EventType::kEndLocation ||
+        end_event.location != start_event.location ||
+        end_event.start != start_event.start ||
+        end_event.end != start_event.start) {
+      continue;
+    }
     // ...and a replacement stay must open at the same epoch afterwards.
     // Without one the zero-length stay is a genuine visit (e.g. an exit
     // sighting) and stays; a Missing in between is a real departure.
-    for (std::size_t k = close + 1; k < n; ++k) {
-      const Event& later = (*events)[k];
-      if (removed[k - first] || later.object != start_event.object ||
-          !IsLocationEvent(later.type)) {
-        continue;
-      }
-      if (later.type == EventType::kStartLocation &&
-          later.start == start_event.start) {
-        removed[i - first] = true;
-        removed[close - first] = true;
-      }
-      break;
+    const std::size_t k = next_live(close);
+    if (k == n) continue;
+    const Event& replacement = (*events)[k];
+    if (replacement.type == EventType::kStartLocation &&
+        replacement.start == start_event.start) {
+      removed[i - first] = true;
+      removed[close - first] = true;
     }
   }
 
   // Pass 2: End immediately re-opened in place — the stay never ended.
+  // Only the immediately following location message can cancel the end; a
+  // Missing there keeps a real departure.
   std::vector<ChurnSplice> splices;
   for (std::size_t i = first; i < n; ++i) {
     const Event& end_event = (*events)[i];
     if (removed[i - first] || end_event.type != EventType::kEndLocation) {
       continue;
     }
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const Event& later = (*events)[j];
-      if (removed[j - first] || later.object != end_event.object ||
-          !IsLocationEvent(later.type)) {
+    const std::size_t j = next_live(i);
+    if (j == n) continue;
+    const Event& later = (*events)[j];
+    if (later.type != EventType::kStartLocation ||
+        later.location != end_event.location ||
+        later.start != end_event.end) {
+      continue;
+    }
+    removed[i - first] = true;
+    removed[j - first] = true;
+    // The reopened stay may itself have ended later in this same epoch;
+    // then the splice runs *through* the pair: the surviving End inherits
+    // the original start instead of the stay being left open.
+    const std::size_t k = next_live(j);
+    if (k < n) {
+      Event& after = (*events)[k];
+      if (after.type == EventType::kEndLocation &&
+          after.location == end_event.location &&
+          after.start == later.start) {
+        after.start = end_event.start;
         continue;
       }
-      if (later.type == EventType::kMissing) break;  // Keep a real departure.
-      if (later.type == EventType::kStartLocation) {
-        if (later.location == end_event.location &&
-            later.start == end_event.end) {
-          removed[i - first] = true;
-          removed[j - first] = true;
-          // The reopened stay may itself have ended later in this same
-          // epoch; then the splice runs *through* the pair: the surviving
-          // End inherits the original start instead of the stay being left
-          // open.
-          bool closed_later = false;
-          for (std::size_t k = j + 1; k < n; ++k) {
-            Event& after = (*events)[k];
-            if (removed[k - first] || after.object != end_event.object ||
-                !IsLocationEvent(after.type)) {
-              continue;
-            }
-            if (after.type == EventType::kEndLocation &&
-                after.location == end_event.location &&
-                after.start == later.start) {
-              after.start = end_event.start;
-              closed_later = true;
-            }
-            break;
-          }
-          if (!closed_later) {
-            splices.push_back(ChurnSplice{end_event.object,
-                                          end_event.location,
-                                          end_event.start});
-          }
-        }
-        break;  // Only the immediately following stay can cancel the end.
-      }
-      if (later.type == EventType::kEndLocation) break;
     }
+    splices.push_back(
+        ChurnSplice{end_event.object, end_event.location, end_event.start});
   }
 
   std::size_t write = first;

@@ -75,6 +75,8 @@ struct ChurnSplice {
   ObjectId object = kNoObject;
   LocationId location = kUnknownLocation;
   Epoch start = kNeverEpoch;
+
+  bool operator==(const ChurnSplice&) const = default;
 };
 
 /// Removes meaningless same-epoch location churn from the slice

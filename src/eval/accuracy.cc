@@ -6,8 +6,10 @@ AccuracyStats EvaluateEstimates(const InferenceResult& result,
                                 const PhysicalWorld& world,
                                 LocationId exclude_location) {
   AccuracyStats stats;
-  for (const auto& [id, estimate] : result.estimates) {
-    const ObjectState* truth = world.Find(id);
+  for (const InferenceResult::Entry& entry : result.entries()) {
+    if (entry.retired) continue;  // Exited; nothing to score.
+    const ObjectEstimate& estimate = entry.estimate;
+    const ObjectState* truth = world.Find(estimate.object);
     if (truth == nullptr) continue;  // Already exited; nothing to score.
     if (exclude_location != kUnknownLocation &&
         truth->location == exclude_location) {

@@ -21,7 +21,6 @@ void Graph::BeginEpoch(Epoch now) {
     colored_index_[layer][color].clear();
   }
   touched_colors_.clear();
-  colored_nodes_.clear();
   colored_slots_.clear();
 }
 
@@ -69,13 +68,12 @@ void Graph::ColorNode(Node& node, LocationId color) {
   node.seen_at = now_;
   if (node.colored_epoch != now_) {
     node.colored_epoch = now_;
-    colored_nodes_.push_back(node.id);
     colored_slots_.push_back(node.self);
   }
   auto& by_color = colored_index_[node.layer];
   if (color >= by_color.size()) by_color.resize(color + 1);
   if (by_color[color].empty()) touched_colors_.emplace_back(node.layer, color);
-  by_color[color].push_back(node.id);
+  by_color[color].push_back(node.self);
 }
 
 Node* Graph::FindNode(ObjectId id) {
@@ -96,7 +94,21 @@ void Graph::ClearDirty() {
 EdgeId Graph::AddEdge(ObjectId parent, ObjectId child) {
   EdgeId existing = FindEdge(parent, child);
   if (existing != kNoEdge) return existing;
+  // Node references stay valid across both GetOrCreateNode calls: the
+  // chunked arena never moves existing nodes.
+  const NodeId parent_slot = GetOrCreateNode(parent).self;
+  return AddSlotEdge(parent_slot, GetOrCreateNode(child).self);
+}
 
+EdgeId Graph::FindSlotEdge(NodeId parent, NodeId child) const {
+  for (EdgeId id : node(child).parent_edges) {
+    if (edges_[id].parent_node == parent) return id;
+  }
+  return kNoEdge;
+}
+
+EdgeId Graph::AddSlotEdge(NodeId parent, NodeId child) {
+  assert(FindSlotEdge(parent, child) == kNoEdge);
   EdgeId id;
   if (!free_edges_.empty()) {
     id = free_edges_.back();
@@ -105,14 +117,12 @@ EdgeId Graph::AddEdge(ObjectId parent, ObjectId child) {
     id = static_cast<EdgeId>(edges_.size());
     edges_.emplace_back();
   }
-  // Node references stay valid across both GetOrCreateNode calls: the
-  // chunked arena never moves existing nodes.
-  Node& parent_node = GetOrCreateNode(parent);
-  Node& child_node = GetOrCreateNode(child);
+  Node& parent_node = node(parent);
+  Node& child_node = node(child);
   Edge& e = edges_[id];
   e = Edge{};
-  e.parent = parent;
-  e.child = child;
+  e.parent = parent_node.id;
+  e.child = child_node.id;
   e.parent_node = parent_node.self;
   e.child_node = child_node.self;
   e.recent_colocations = ShiftRegister(history_size_);
@@ -168,11 +178,8 @@ void Graph::RemoveNode(ObjectId id) {
     auto& by_color = colored_index_[node->layer];
     if (node->recent_color < by_color.size()) {
       auto& vec = by_color[node->recent_color];
-      vec.erase(std::remove(vec.begin(), vec.end(), id), vec.end());
+      vec.erase(std::remove(vec.begin(), vec.end(), node->self), vec.end());
     }
-    colored_nodes_.erase(
-        std::remove(colored_nodes_.begin(), colored_nodes_.end(), id),
-        colored_nodes_.end());
     colored_slots_.erase(
         std::remove(colored_slots_.begin(), colored_slots_.end(), node->self),
         colored_slots_.end());
@@ -183,9 +190,9 @@ void Graph::RemoveNode(ObjectId id) {
   --num_alive_nodes_;
 }
 
-const std::vector<ObjectId>& Graph::ColoredAt(LocationId color,
-                                              int layer) const {
-  static const std::vector<ObjectId> kEmpty;
+const std::vector<NodeId>& Graph::ColoredAt(LocationId color,
+                                            int layer) const {
+  static const std::vector<NodeId> kEmpty;
   assert(layer >= 0 && layer < kNumPackagingLevels);
   const auto& by_color = colored_index_[layer];
   return color < by_color.size() ? by_color[color] : kEmpty;
@@ -206,13 +213,12 @@ std::size_t Graph::MemoryUsage() const {
   bytes += free_nodes_.capacity() * sizeof(NodeId);
   bytes += edges_.capacity() * sizeof(Edge);
   bytes += free_edges_.capacity() * sizeof(EdgeId);
-  bytes += colored_nodes_.capacity() * sizeof(ObjectId);
   bytes += colored_slots_.capacity() * sizeof(NodeId);
   bytes += dirty_nodes_.capacity() * sizeof(NodeId);
   for (const auto& layer_index : colored_index_) {
-    bytes += layer_index.capacity() * sizeof(std::vector<ObjectId>);
+    bytes += layer_index.capacity() * sizeof(std::vector<NodeId>);
     for (const auto& cell : layer_index) {
-      bytes += cell.capacity() * sizeof(ObjectId);
+      bytes += cell.capacity() * sizeof(NodeId);
     }
   }
   return bytes;

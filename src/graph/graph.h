@@ -15,7 +15,7 @@
 // stay stable across arena growth. Edges name their endpoints both ways —
 // by ObjectId (the external identity) and by NodeId (the O(1) hop used in
 // inference wave loops). The per-epoch color index is a flat
-// vector-of-vectors per layer, cleared in O(colors touched). The graph also
+// vector-of-vectors of slots per layer, cleared in O(colors touched). The graph also
 // maintains a dirty set — nodes whose color, adjacency or confirmation
 // state changed since the last ClearDirty() — that seeds the incremental
 // inference pass.
@@ -170,6 +170,14 @@ class Graph {
   /// Looks up an existing edge parent -> child, or kNoEdge.
   EdgeId FindEdge(ObjectId parent, ObjectId child) const;
 
+  /// FindEdge by live node slots: a scan of the child's parent edges, with
+  /// no hash lookup.
+  EdgeId FindSlotEdge(NodeId parent, NodeId child) const;
+
+  /// Creates the edge parent -> child between two live nodes that have no
+  /// such edge yet (the caller checked with FindSlotEdge); no hash lookup.
+  EdgeId AddSlotEdge(NodeId parent, NodeId child);
+
   /// Removes an edge from the arena and both adjacency lists; both former
   /// endpoints are marked dirty.
   void RemoveEdge(EdgeId id);
@@ -192,13 +200,12 @@ class Graph {
     return e.parent_node == from ? e.child_node : e.parent_node;
   }
 
-  /// Nodes colored `color` in the current epoch at the given layer.
-  const std::vector<ObjectId>& ColoredAt(LocationId color, int layer) const;
+  /// Slots of the nodes colored `color` in the current epoch at the given
+  /// layer, in coloring order.
+  const std::vector<NodeId>& ColoredAt(LocationId color, int layer) const;
 
-  /// All nodes colored in the current epoch (seed set for inference).
-  const std::vector<ObjectId>& ColoredNodes() const { return colored_nodes_; }
-
-  /// Arena slots of ColoredNodes(), in the same order.
+  /// Arena slots of all nodes colored in the current epoch, in coloring
+  /// order (the seed set for inference).
   const std::vector<NodeId>& ColoredSlots() const { return colored_slots_; }
 
   /// Nodes whose color, adjacency or confirmation state changed since the
@@ -253,9 +260,8 @@ class Graph {
   /// Per-epoch index: layer -> color -> colored nodes, flat by LocationId.
   /// `touched_colors_` lists the (layer, color) cells filled this epoch so
   /// BeginEpoch clears in O(touched), not O(location space).
-  std::vector<std::vector<ObjectId>> colored_index_[kNumPackagingLevels];
+  std::vector<std::vector<NodeId>> colored_index_[kNumPackagingLevels];
   std::vector<std::pair<int, LocationId>> touched_colors_;
-  std::vector<ObjectId> colored_nodes_;
   std::vector<NodeId> colored_slots_;
   std::vector<NodeId> dirty_nodes_;
 };

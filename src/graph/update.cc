@@ -1,7 +1,6 @@
 #include "graph/update.h"
 
 #include <algorithm>
-#include <array>
 
 #include "obs/registry.h"
 
@@ -70,8 +69,7 @@ UpdateStats GraphUpdater::ApplyEpoch(const EpochBatch& batch) {
   return stats;
 }
 
-GraphUpdater::Confirmation GraphUpdater::ComputeConfirmation(
-    const ReaderBatch& batch) const {
+GraphUpdater::Confirmation GraphUpdater::ComputeConfirmation() {
   Confirmation confirmation;
   // Domain knowledge (Section III-B): a belt reader scans one top-level
   // container at a time. When the batch contains exactly one object at its
@@ -79,23 +77,14 @@ GraphUpdater::Confirmation GraphUpdater::ComputeConfirmation(
   // container and every adjacent-layer object in the batch is confirmed to
   // be directly contained in it. (Objects two layers down — items under a
   // scanned pallet — are not confirmed: their direct container is unknown.)
-  int top_layer = -1;
-  int top_count = 0;
-  for (ObjectId tag : batch.tags) {
-    int layer = EpcLayer(tag);
-    if (layer > top_layer) {
-      top_layer = layer;
-      top_count = 1;
-      confirmation.top = tag;
-    } else if (layer == top_layer) {
-      ++top_count;
-    }
-  }
-  if (top_count != 1 || top_layer <= 0) return confirmation;
+  int top_layer = kNumPackagingLevels - 1;
+  while (top_layer >= 0 && by_layer_[top_layer].empty()) --top_layer;
+  if (top_layer <= 0 || by_layer_[top_layer].size() != 1) return confirmation;
   confirmation.active = true;
-  for (ObjectId tag : batch.tags) {
-    if (EpcLayer(tag) == top_layer - 1) confirmation.children.insert(tag);
-  }
+  confirmation.top = graph_->node(by_layer_[top_layer][0]).id;
+  confirmed_.assign(by_layer_[top_layer - 1].begin(),
+                    by_layer_[top_layer - 1].end());
+  std::sort(confirmed_.begin(), confirmed_.end());
   return confirmation;
 }
 
@@ -108,47 +97,53 @@ UpdateStats GraphUpdater::ApplyReaderBatch(const ReaderBatch& batch) {
   const bool special = IsSpecialReader(reader.value().type);
   const bool exit = IsExitReader(reader.value().type);
 
-  // Step 1: create and color nodes; remember which gained a *new* color
+  // Step 1: create and color nodes; stamp those that gained a *new* color
   // (just created, or observed at a different location than their most
   // recent color) — only those spawn edges in step 2.
-  std::unordered_set<ObjectId> new_color;
-  std::array<std::vector<NodeId>, kNumPackagingLevels> by_layer;
+  if (++batch_ == 0) {
+    // The counter wrapped: stamps from 2^32 batches ago would match.
+    std::fill(new_color_stamp_.begin(), new_color_stamp_.end(), 0);
+    batch_ = 1;
+  }
+  for (auto& layer : by_layer_) layer.clear();
   for (ObjectId tag : batch.tags) {
     // One hash lookup per reading: the arena slot from here on.
     Node* existing = graph_->FindNode(tag);
+    bool new_color = false;
     if (existing == nullptr) {
       ++stats.nodes_created;
-      new_color.insert(tag);
+      new_color = true;
     } else if (existing->recent_color != color) {
-      new_color.insert(tag);
+      new_color = true;
     }
     Node& node =
         existing != nullptr ? *existing : graph_->GetOrCreateNode(tag);
+    if (node.self >= new_color_stamp_.size()) {
+      new_color_stamp_.resize(graph_->NodeSlots(), 0);
+    }
+    if (new_color) new_color_stamp_[node.self] = batch_;
     graph_->ColorNode(node, color);
-    by_layer[static_cast<std::size_t>(node.layer)].push_back(node.self);
+    by_layer_[static_cast<std::size_t>(node.layer)].push_back(node.self);
     ++stats.readings;
     if (exit) exited_.push_back(tag);
   }
 
-  Confirmation confirmation =
-      special ? ComputeConfirmation(batch) : Confirmation{};
+  const Confirmation confirmation =
+      special ? ComputeConfirmation() : Confirmation{};
 
   // Steps 2-4, packaging levels bottom-up (Fig. 4 line 7).
   for (int layer = 0; layer < kNumPackagingLevels; ++layer) {
-    for (NodeId slot : by_layer[static_cast<std::size_t>(layer)]) {
-      Node& v = graph_->node(slot);
-      const ObjectId tag = v.id;
-
+    for (NodeId slot : by_layer_[static_cast<std::size_t>(layer)]) {
       // Step 2: connect a newly colored node to same-colored nodes in the
       // closest layer above and below (edges may cross layers when the
       // adjacent layer has no node of this color).
-      if (new_color.contains(tag)) {
+      if (new_color_stamp_[slot] == batch_) {
         for (int above = layer + 1; above < kNumPackagingLevels; ++above) {
           const auto& candidates = graph_->ColoredAt(color, above);
           if (candidates.empty()) continue;
-          for (ObjectId parent : candidates) {
-            if (graph_->FindEdge(parent, tag) == kNoEdge) {
-              graph_->AddEdge(parent, tag);
+          for (NodeId parent : candidates) {
+            if (graph_->FindSlotEdge(parent, slot) == kNoEdge) {
+              graph_->AddSlotEdge(parent, slot);
               ++stats.edges_created;
             }
           }
@@ -157,9 +152,9 @@ UpdateStats GraphUpdater::ApplyReaderBatch(const ReaderBatch& batch) {
         for (int below = layer - 1; below >= 0; --below) {
           const auto& candidates = graph_->ColoredAt(color, below);
           if (candidates.empty()) continue;
-          for (ObjectId child : candidates) {
-            if (graph_->FindEdge(tag, child) == kNoEdge) {
-              graph_->AddEdge(tag, child);
+          for (NodeId child : candidates) {
+            if (graph_->FindSlotEdge(slot, child) == kNoEdge) {
+              graph_->AddSlotEdge(slot, child);
               ++stats.edges_created;
             }
           }
@@ -168,7 +163,7 @@ UpdateStats GraphUpdater::ApplyReaderBatch(const ReaderBatch& batch) {
       }
 
       // Steps 3-4: examine every incident edge once per epoch.
-      ProcessIncidentEdges(v, color, confirmation, &stats);
+      ProcessIncidentEdges(graph_->node(slot), color, confirmation, &stats);
     }
   }
   return stats;
@@ -179,10 +174,11 @@ void GraphUpdater::ProcessIncidentEdges(Node& v, LocationId color,
                                         UpdateStats* stats) {
   const Epoch now = graph_->now();
   // Copy: edge removal mutates the adjacency lists.
-  std::vector<EdgeId> incident = v.parent_edges;
-  incident.insert(incident.end(), v.child_edges.begin(), v.child_edges.end());
+  incident_.assign(v.parent_edges.begin(), v.parent_edges.end());
+  incident_.insert(incident_.end(), v.child_edges.begin(),
+                   v.child_edges.end());
 
-  for (EdgeId id : incident) {
+  for (EdgeId id : incident_) {
     Edge& e = graph_->edge(id);
     if (!e.alive) continue;
     Node* other = graph_->NodeAt(graph_->OtherEndNode(e, v.self));
@@ -204,7 +200,7 @@ void GraphUpdater::ProcessIncidentEdges(Node& v, LocationId color,
       if (e.child == confirmation.top) {
         // The child is a confirmed top-level container: it has no parent.
         drop = true;
-      } else if (confirmation.children.contains(e.child) &&
+      } else if (IsConfirmedChild(confirmation, e.child_node) &&
                  e.parent != confirmation.top) {
         // The child's container is confirmed to be `top`; competing parent
         // edges are eliminated.
@@ -248,7 +244,7 @@ void GraphUpdater::UpdateEdgeStats(Edge& e, bool same_color,
   if (child == nullptr) return;
 
   if (same_color && confirmation.active && e.parent == confirmation.top &&
-      confirmation.children.contains(e.child)) {
+      IsConfirmedChild(confirmation, e.child_node)) {
     // A special reader confirmed this containment.
     child->confirmed.parent = e.parent;
     child->confirmed.confirmed_at = now;

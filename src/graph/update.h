@@ -10,8 +10,10 @@
 // consistent graph after the last batch.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
-#include <unordered_set>
+#include <cstdint>
 #include <vector>
 
 #include "graph/graph.h"
@@ -55,15 +57,21 @@ class GraphUpdater {
 
  private:
   /// Special-reader domain knowledge for one batch: the unique top-level
-  /// container on the belt and its directly contained (adjacent-layer)
-  /// objects.
+  /// container on the belt; its directly contained (adjacent-layer)
+  /// objects are listed, by slot, in confirmed_.
   struct Confirmation {
     bool active = false;
     ObjectId top = kNoObject;
-    std::unordered_set<ObjectId> children;
   };
 
-  Confirmation ComputeConfirmation(const ReaderBatch& batch) const;
+  /// Reads the confirmation off the batch's nodes (by_layer_, after step 1)
+  /// and lists its children.
+  Confirmation ComputeConfirmation();
+  /// True iff the node at `slot` is a confirmed child in this batch.
+  bool IsConfirmedChild(const Confirmation& confirmation, NodeId slot) const {
+    return confirmation.active &&
+           std::binary_search(confirmed_.begin(), confirmed_.end(), slot);
+  }
   void ProcessIncidentEdges(Node& v, LocationId color,
                             const Confirmation& confirmation,
                             UpdateStats* stats);
@@ -73,6 +81,21 @@ class GraphUpdater {
   Graph* graph_;
   const ReaderRegistry* registry_;
   std::vector<ObjectId> exited_;
+
+  // --- Per-batch scratch, reused across batches (DESIGN.md §10) ---
+  /// Batch counter; a slot whose stamp equals it gained a *new* color in
+  /// this batch (step 1 -> step 2). A reading repeated within the batch
+  /// finds its own mark, as a set of new-colored tags would.
+  std::uint32_t batch_ = 0;
+  std::vector<std::uint32_t> new_color_stamp_;
+  /// The batch's nodes by packaging level, in reading order.
+  std::array<std::vector<NodeId>, kNumPackagingLevels> by_layer_;
+  /// Slots confirmed to be directly contained in the belt's top container,
+  /// sorted.
+  std::vector<NodeId> confirmed_;
+  /// One node's incident edges, copied because removal edits the
+  /// adjacency lists.
+  std::vector<EdgeId> incident_;
 };
 
 }  // namespace spire

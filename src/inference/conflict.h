@@ -20,6 +20,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "inference/estimate.h"
 
@@ -32,7 +34,28 @@ struct ConflictStats {
   std::size_t containments_ended = 0;    ///< Rule II terminations.
 };
 
-/// Resolves all conflicts in `result` in place.
+/// Resolves conflicts with scratch buffers that outlive one call: the
+/// pipeline owns one, so steady epochs resolve without allocating. Children
+/// are grouped per container by entry index (through the container's slot),
+/// so no object id is hashed. Retired (tombstoned) entries take no part.
+class ConflictResolver {
+ public:
+  /// Resolves all conflicts in `result` in place.
+  ConflictStats Resolve(InferenceResult* result);
+
+ private:
+  /// Per entry: the first child (head) and the next sibling (next) of the
+  /// entry's children list; kNoIndex ends a list.
+  std::vector<std::uint32_t> head_, next_;
+  /// Entry indexes of the containers that have children, then of one
+  /// parent's children.
+  std::vector<std::uint32_t> parents_, kids_;
+  /// Per entry: location fixed by containment priority in this pass.
+  std::vector<std::uint8_t> pinned_;
+  std::vector<LocationId> votes_;
+};
+
+/// Resolves all conflicts in `result` in place (a one-off resolver).
 ConflictStats ResolveConflicts(InferenceResult* result);
 
 }  // namespace spire

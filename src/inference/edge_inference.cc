@@ -76,6 +76,7 @@ EdgeInferenceResult EdgeInferencer::InferAt(const Node& node,
       best_confidence = confidence;
       result.best_edge = id;
       result.best_parent = edge.parent;
+      result.best_parent_node = edge.parent_node;
     } else if (confidence > second_confidence) {
       second_confidence = confidence;
     }

@@ -20,6 +20,8 @@ struct EdgeInferenceResult {
   /// The argmax incoming edge, or kNoEdge when the node has no parents.
   EdgeId best_edge = kNoEdge;
   ObjectId best_parent = kNoObject;
+  /// Node slot of best_parent (the winning edge's parent_node).
+  NodeId best_parent_node = kNoNode;
   double best_prob = 0.0;
   /// Probability of the second-best candidate container; 0 when the node
   /// has fewer than two parents. Feeds the explain channel's posterior gap.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/scratch.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 
@@ -110,20 +111,22 @@ void IterativeInference::EnsureScratch() {
   known_value_.resize(slots, kUnknownLocation);
   reach_stamp_.resize(slots, 0);
   cache_.resize(slots);
+  cache_container_.resize(slots, kNoNode);
   cache_valid_.resize(slots, 0);
   wheel_.Resize(slots);
 }
 
 EdgeInferenceResult IterativeInference::InferEdgesAndPrune(
     const Node& node, InferenceResult* result) {
-  std::vector<EdgeId> prunable;
-  EdgeInferenceResult inferred = edge_inferencer_.InferAt(node, &prunable);
-  for (EdgeId id : prunable) {
+  prunable_.clear();
+  EdgeInferenceResult inferred = edge_inferencer_.InferAt(node, &prunable_);
+  for (EdgeId id : prunable_) {
     if (id == inferred.best_edge) {
       // The chosen edge itself fell below the threshold: the containment
       // evidence is too weak to keep.
       inferred.best_edge = kNoEdge;
       inferred.best_parent = kNoObject;
+      inferred.best_parent_node = kNoNode;
       inferred.best_prob = 0.0;
       inferred.runner_up_prob = 0.0;
     }
@@ -133,16 +136,19 @@ EdgeInferenceResult IterativeInference::InferEdgesAndPrune(
   return inferred;
 }
 
+Epoch IterativeInference::FadeDeadline(const ScoreModel& model,
+                                       Epoch now) const {
+  return store_cache_ ? NextArgmaxFlip(model, now, now + kFadeHorizon)
+                      : kNeverEpoch;
+}
+
 void IterativeInference::StoreCache(NodeId slot,
                                     const ObjectEstimate& estimate,
-                                    const ScoreModel* model, Epoch now) {
+                                    NodeId container_slot, Epoch deadline) {
   if (!store_cache_) return;
   cache_[slot] = estimate;
+  cache_container_[slot] = container_slot;
   cache_valid_[slot] = 1;
-  Epoch deadline = kNeverEpoch;
-  if (model != nullptr) {
-    deadline = NextArgmaxFlip(*model, now, now + kFadeHorizon);
-  }
   wheel_.Schedule(slot, deadline);
 }
 
@@ -162,23 +168,23 @@ void IterativeInference::ImplantHandoff(NodeId slot,
                                         Epoch deadline) {
   // The slot belongs to a node the caller just created, so EnsureScratch
   // covers it. Implanting is unconditional (not gated on store_cache_):
-  // with incremental inference off the entry is simply never read.
+  // with incremental inference off the entry is simply never read. The
+  // node is dirty, so the entry is never replayed and needs no container
+  // slot.
   EnsureScratch();
   cache_[slot] = estimate;
+  cache_container_[slot] = kNoNode;
   cache_valid_[slot] = 1;
   wheel_.Schedule(slot, deadline);
 }
 
-InferenceResult IterativeInference::RunPass(
-    Epoch now, bool complete, const std::vector<NodeId>* restrict_to) {
-  InferenceResult result;
-  result.epoch = now;
-  result.complete = complete;
+void IterativeInference::RunPass(Epoch now, bool complete,
+                                 const std::vector<NodeId>* restrict_to,
+                                 InferenceResult* result) {
   edge_inferencer_.BeginPass();
   EnsureScratch();
   ++pass_;
   const std::uint64_t pass = pass_;
-  if (complete) result.estimates.reserve(graph_->NumNodes());
 
   PassColors colors;
   colors.graph = graph_;
@@ -197,7 +203,7 @@ InferenceResult IterativeInference::RunPass(
   }
   for (NodeId slot : wave_) {
     Node& node = graph_->node(slot);
-    EdgeInferenceResult edges = InferEdgesAndPrune(node, &result);
+    EdgeInferenceResult edges = InferEdgesAndPrune(node, result);
     ObjectEstimate estimate;
     estimate.object = node.id;
     estimate.location = node.recent_color;
@@ -206,10 +212,12 @@ InferenceResult IterativeInference::RunPass(
     estimate.container_prob = edges.best_prob;
     estimate.container_runner_up = edges.runner_up_prob;
     estimate.observed = true;
-    result.estimates[node.id] = estimate;
+    result->Put(slot, estimate, edges.best_parent_node);
     known_stamp_[slot] = pass;
     known_value_[slot] = node.recent_color;
-    if (complete) StoreCache(slot, estimate, nullptr, now);
+    if (complete) {
+      StoreCache(slot, estimate, edges.best_parent_node, kNeverEpoch);
+    }
   }
 
   // Waves d = 1, 2, ...: uncolored nodes in increasing distance.
@@ -237,16 +245,20 @@ InferenceResult IterativeInference::RunPass(
     // Edge inference (with pruning) for the whole wave first...
     wave_edges_.clear();
     for (NodeId slot : next_) {
-      wave_edges_.push_back(InferEdgesAndPrune(graph_->node(slot), &result));
+      wave_edges_.push_back(InferEdgesAndPrune(graph_->node(slot), result));
     }
     // ...then node inference, seeing only colors from earlier waves.
+    // A node's fade deadline is read off its score model right away, so
+    // one model serves the whole wave.
     pending_.clear();
-    wave_models_.resize(next_.size());
+    wave_deadlines_.clear();
     for (std::size_t i = 0; i < next_.size(); ++i) {
       const Node& node = graph_->node(next_[i]);
       const EdgeInferenceResult& edges = wave_edges_[i];
-      NodeInferenceResult location = node_inferencer_.InferAt(
-          node, now, colors, complete ? &wave_models_[i] : nullptr);
+      NodeInferenceResult location =
+          node_inferencer_.InferAt(node, now, colors, &model_);
+      wave_deadlines_.push_back(complete ? FadeDeadline(model_, now)
+                                         : kNeverEpoch);
       ObjectEstimate estimate;
       estimate.object = node.id;
       estimate.location = location.location;
@@ -262,14 +274,17 @@ InferenceResult IterativeInference::RunPass(
     // Commit the wave: later waves may now use these colors.
     for (std::size_t i = 0; i < next_.size(); ++i) {
       const ObjectEstimate& estimate = pending_[i];
-      result.estimates[estimate.object] = estimate;
+      const NodeId container_slot = wave_edges_[i].best_parent_node;
+      result->Put(next_[i], estimate, container_slot);
       if (estimate.location != kUnknownLocation) {
         known_stamp_[next_[i]] = pass;
         known_value_[next_[i]] = estimate.location;
       }
-      if (complete) StoreCache(next_[i], estimate, &wave_models_[i], now);
+      if (complete) {
+        StoreCache(next_[i], estimate, container_slot, wave_deadlines_[i]);
+      }
     }
-    result.waves = static_cast<std::size_t>(distance);
+    result->waves = static_cast<std::size_t>(distance);
     wave_.swap(next_);
   }
 
@@ -293,12 +308,11 @@ InferenceResult IterativeInference::RunPass(
     std::sort(rest_.begin(), rest_.end(), [&](NodeId a, NodeId b) {
       return graph_->node(a).id < graph_->node(b).id;
     });
-    ScoreModel model;
     for (NodeId slot : rest_) {
       const Node& node = graph_->node(slot);
-      EdgeInferenceResult edges = InferEdgesAndPrune(node, &result);
+      EdgeInferenceResult edges = InferEdgesAndPrune(node, result);
       NodeInferenceResult location =
-          node_inferencer_.InferAt(node, now, colors, &model);
+          node_inferencer_.InferAt(node, now, colors, &model_);
       ObjectEstimate estimate;
       estimate.object = node.id;
       estimate.location = location.location;
@@ -308,26 +322,28 @@ InferenceResult IterativeInference::RunPass(
       estimate.container_prob = edges.best_prob;
       estimate.container_runner_up = edges.runner_up_prob;
       estimate.observed = false;
-      result.estimates[node.id] = estimate;
-      StoreCache(slot, estimate, &model, now);
+      result->Put(slot, estimate, edges.best_parent_node);
+      StoreCache(slot, estimate, edges.best_parent_node,
+                 FadeDeadline(model_, now));
     }
   }
-  return result;
 }
 
-InferenceResult IterativeInference::RunPartial(Epoch now) {
+void IterativeInference::RunPartial(Epoch now, InferenceResult* result) {
   store_cache_ = false;
-  InferenceResult result = RunPass(now, false, nullptr);
+  result->Reset(now, false);
+  RunPass(now, false, nullptr, result);
+  // A partial pass follows complete ones: release their result storage.
+  TrimScratch(&result->entries(), result->size());
   if (const Instruments* instruments = GetInstruments()) {
     instruments->passes_partial->Add(1);
-    instruments->waves->Add(result.waves);
-    instruments->edges_pruned->Add(result.edges_pruned);
-    instruments->estimates->Add(result.estimates.size());
+    instruments->waves->Add(result->waves);
+    instruments->edges_pruned->Add(result->edges_pruned);
+    instruments->estimates->Add(result->size());
   }
-  return result;
 }
 
-InferenceResult IterativeInference::RunFullComplete(Epoch now) {
+void IterativeInference::RunFullComplete(Epoch now, InferenceResult* result) {
   // Cache maintenance (and its deadline computations) only pays off when
   // incremental passes will consume it.
   store_cache_ = params_.incremental;
@@ -339,21 +355,21 @@ InferenceResult IterativeInference::RunFullComplete(Epoch now) {
   // their endpoints, and those marks must survive into the next epoch's
   // seeds (the pass's cached estimates saw the pre-pruning structure).
   graph_->ClearDirty();
-  InferenceResult result = RunPass(now, true, nullptr);
+  RunPass(now, true, nullptr, result);
   cache_primed_ = store_cache_;
   passes_since_full_ = 0;
   last_complete_ = now;
   if (const Instruments* instruments = GetInstruments()) {
     instruments->passes_complete->Add(1);
-    instruments->waves->Add(result.waves);
-    instruments->edges_pruned->Add(result.edges_pruned);
-    instruments->estimates->Add(result.estimates.size());
-    instruments->nodes_reinferred->Add(result.estimates.size());
+    instruments->waves->Add(result->waves);
+    instruments->edges_pruned->Add(result->edges_pruned);
+    instruments->estimates->Add(result->size());
+    instruments->nodes_reinferred->Add(result->size());
   }
-  return result;
 }
 
-InferenceResult IterativeInference::RunIncrementalComplete(Epoch now) {
+void IterativeInference::RunIncrementalComplete(Epoch now,
+                                                InferenceResult* result) {
   EnsureScratch();
   store_cache_ = true;
   ++reach_round_;
@@ -411,40 +427,43 @@ InferenceResult IterativeInference::RunIncrementalComplete(Epoch now) {
     close_reach(from);
   }
 
-  InferenceResult result = RunPass(now, true, &reach_);
-  const std::size_t reinferred = result.estimates.size();
+  RunPass(now, true, &reach_, result);
+  const std::size_t reinferred = result->size();
 
   // Untouched components: replay the cached estimates. Their (location,
   // container, observed, withheld) equal what a full pass would recompute;
   // the posteriors may lag (explain channel only, see DESIGN.md §10).
   for (NodeId slot = 0; slot < slots; ++slot) {
     if (!graph_->NodeAlive(slot) || reach_stamp_[slot] == round) continue;
-    result.estimates.emplace(cache_[slot].object, cache_[slot]);
+    result->Put(slot, cache_[slot], cache_container_[slot]);
   }
-  const std::size_t cache_hits = result.estimates.size() - reinferred;
+  const std::size_t cache_hits = result->size() - reinferred;
 
   ++passes_since_full_;
   last_complete_ = now;
   if (const Instruments* instruments = GetInstruments()) {
     instruments->passes_complete->Add(1);
-    instruments->waves->Add(result.waves);
-    instruments->edges_pruned->Add(result.edges_pruned);
-    instruments->estimates->Add(result.estimates.size());
+    instruments->waves->Add(result->waves);
+    instruments->edges_pruned->Add(result->edges_pruned);
+    instruments->estimates->Add(result->size());
     instruments->dirty_nodes->Add(dirty_seeds);
     instruments->fade_wakeups->Add(due_.size());
     instruments->cache_hits->Add(cache_hits);
     instruments->nodes_reinferred->Add(reinferred);
   }
-  return result;
 }
 
-InferenceResult IterativeInference::RunComplete(Epoch now) {
+void IterativeInference::RunComplete(Epoch now, InferenceResult* result) {
+  result->Reset(now, true);
+  // Every live node gets an estimate: one allocation at most.
+  result->entries().reserve(graph_->NumNodes());
   const bool resync_due = params_.full_resync_passes > 0 &&
                           passes_since_full_ >= params_.full_resync_passes;
   if (!params_.incremental || !cache_primed_ || resync_due) {
-    return RunFullComplete(now);
+    RunFullComplete(now, result);
+  } else {
+    RunIncrementalComplete(now, result);
   }
-  return RunIncrementalComplete(now);
 }
 
 }  // namespace spire

@@ -25,8 +25,10 @@
 // byte-identical to a full recompute (the incremental_equivalence oracle
 // proves it on every fuzz seed); only the cached posteriors served to the
 // explain channel may be stale. All per-pass state (visited set, committed
-// colors, wave buffers) lives in epoch-stamped scratch arrays indexed by
-// NodeId, so steady-state passes allocate nothing.
+// colors, wave buffers, score models) lives in epoch-stamped scratch arrays
+// indexed by NodeId or in buffers reused across passes, and the caller's
+// InferenceResult is refilled in place, so a steady pass allocates only
+// when the graph outgrows a buffer.
 #pragma once
 
 #include <array>
@@ -60,12 +62,26 @@ class IterativeInference {
 
   /// Complete inference: every live node receives an estimate. Incremental
   /// when enabled and the cache is primed; a full pass otherwise (first
-  /// pass, incremental off, or a scheduled resync boundary).
-  InferenceResult RunComplete(Epoch now);
+  /// pass, incremental off, or a scheduled resync boundary). Refills
+  /// `result` (Reset first), reusing its buffers: a caller that hands the
+  /// last result back runs steady passes without allocating.
+  void RunComplete(Epoch now, InferenceResult* result);
 
   /// Partial inference over the `partial_hops`-neighborhood of the colored
-  /// nodes.
-  InferenceResult RunPartial(Epoch now);
+  /// nodes; refills `result` like RunComplete.
+  void RunPartial(Epoch now, InferenceResult* result);
+
+  /// By-value forms of the two passes (tests and one-off callers).
+  InferenceResult RunComplete(Epoch now) {
+    InferenceResult result;
+    RunComplete(now, &result);
+    return result;
+  }
+  InferenceResult RunPartial(Epoch now) {
+    InferenceResult result;
+    RunPartial(now, &result);
+    return result;
+  }
 
   const InferenceParams& params() const { return params_; }
   InferenceParams& mutable_params() { return params_; }
@@ -123,10 +139,11 @@ class IterativeInference {
   /// One inference pass. `restrict` limits complete passes to the given
   /// node set (a union of whole connected components); nullptr = whole
   /// graph.
-  InferenceResult RunPass(Epoch now, bool complete,
-                          const std::vector<NodeId>* restrict_to);
-  InferenceResult RunFullComplete(Epoch now);
-  InferenceResult RunIncrementalComplete(Epoch now);
+  void RunPass(Epoch now, bool complete,
+               const std::vector<NodeId>* restrict_to,
+               InferenceResult* result);
+  void RunFullComplete(Epoch now, InferenceResult* result);
+  void RunIncrementalComplete(Epoch now, InferenceResult* result);
 
   /// Grows the epoch-stamped scratch arrays to the graph's slot count.
   void EnsureScratch();
@@ -135,11 +152,16 @@ class IterativeInference {
   EdgeInferenceResult InferEdgesAndPrune(const Node& node,
                                          InferenceResult* result);
 
-  /// Caches a complete-pass estimate and (re)schedules the node's fade
-  /// deadline; `model` is null for observed nodes (their next change is the
-  /// color loss, which dirties them).
+  /// The epoch at which the model's argmax may next flip, when the cache
+  /// consumes it (kNeverEpoch otherwise).
+  Epoch FadeDeadline(const ScoreModel& model, Epoch now) const;
+
+  /// Caches a complete-pass estimate (with its container's slot) and
+  /// (re)schedules the node's fade deadline; observed nodes pass
+  /// kNeverEpoch (their next change is the color loss, which dirties
+  /// them).
   void StoreCache(NodeId slot, const ObjectEstimate& estimate,
-                  const ScoreModel* model, Epoch now);
+                  NodeId container_slot, Epoch deadline);
 
   Graph* graph_;
   InferenceParams params_;
@@ -156,10 +178,14 @@ class IterativeInference {
   std::vector<NodeId> wave_, next_, rest_, reach_, due_;
   std::vector<EdgeInferenceResult> wave_edges_;
   std::vector<ObjectEstimate> pending_;
-  std::vector<ScoreModel> wave_models_;
+  std::vector<Epoch> wave_deadlines_;
+  ScoreModel model_;
+  std::vector<EdgeId> prunable_;
 
   // --- Estimate cache + fade wheel (incremental mode) ---
   std::vector<ObjectEstimate> cache_;
+  /// The container's node slot of each cached estimate.
+  std::vector<NodeId> cache_container_;
   std::vector<std::uint8_t> cache_valid_;
   bool cache_primed_ = false;
   bool store_cache_ = false;

@@ -1,7 +1,7 @@
 #include "inference/node_inference.h"
 
+#include <algorithm>
 #include <cmath>
-#include <map>
 
 namespace spire {
 
@@ -82,10 +82,17 @@ NodeInferenceResult NodeInferencer::InferAt(const Node& node, Epoch now,
                                             const PassColors& colors,
                                             ScoreModel* model) const {
   const double gamma = params_->gamma;
+  ScoreModel local;
+  ScoreModel& m = model != nullptr ? *model : local;
 
   // Colors propagated through the edges: sum of edge probabilities per
-  // color, normalized by Z2 over all propagating edges (Eq. 3).
-  std::map<LocationId, double> propagated;
+  // color, normalized by Z2 over all propagating edges (Eq. 3). The sums
+  // accumulate in m.base, one entry per color: a node sees few distinct
+  // colors, so a linear find beats any index. Each color's sum adds its
+  // edges in edge order (parents, then children); the output bytes depend
+  // on that floating-point order (tests/golden_stream_test.cc).
+  std::vector<std::pair<LocationId, double>>& scores = m.base;
+  scores.clear();
   double z2 = 0.0;
   auto consider = [&](EdgeId id, NodeId neighbor_slot) {
     const Node& neighbor = graph_->node(neighbor_slot);
@@ -93,7 +100,13 @@ NodeInferenceResult NodeInferencer::InferAt(const Node& node, Epoch now,
     if (color == kUnknownLocation) return;
     const double p = edges_->ProbabilityOf(id);
     if (p <= 0.0) return;
-    propagated[color] += p;
+    auto it = std::find_if(scores.begin(), scores.end(),
+                           [&](const auto& entry) { return entry.first == color; });
+    if (it == scores.end()) {
+      scores.emplace_back(color, p);
+    } else {
+      it->second += p;
+    }
     z2 += p;
   };
   for (EdgeId id : node.parent_edges) {
@@ -104,23 +117,21 @@ NodeInferenceResult NodeInferencer::InferAt(const Node& node, Epoch now,
   }
 
   // Assemble the model: per-color scores that do not move with time, plus
-  // the fading term on the recent color added at evaluation. When no edge
+  // the fading term on the recent color added at evaluation (the recent
+  // color is a candidate even when no edge propagates it). When no edge
   // propagates a color, the gamma mass is unavailable and the remaining
   // terms are compared directly (renormalization does not change the
   // argmax).
-  std::map<LocationId, double> constant_scores;
-  if (node.recent_color != kUnknownLocation) {
-    constant_scores[node.recent_color] += 0.0;
+  for (auto& [color, mass] : scores) mass = gamma * mass / z2;
+  if (node.recent_color != kUnknownLocation &&
+      std::none_of(scores.begin(), scores.end(), [&](const auto& entry) {
+        return entry.first == node.recent_color;
+      })) {
+    scores.emplace_back(node.recent_color, 0.0);
   }
-  if (z2 > 0.0) {
-    for (const auto& [color, mass] : propagated) {
-      constant_scores[color] += gamma * mass / z2;
-    }
-  }
+  std::sort(scores.begin(), scores.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  ScoreModel local;
-  ScoreModel& m = model != nullptr ? *model : local;
-  m.base.assign(constant_scores.begin(), constant_scores.end());
   m.fade_unit = 1.0 - gamma;
   m.recent = node.recent_color;
   // Nodes are created on first observation, so seen_at is always valid and

@@ -116,7 +116,8 @@ class NodeInferencer {
 
   /// Runs node inference at an uncolored node. When `model` is non-null it
   /// receives the node's score model (for fade-deadline scheduling); the
-  /// returned result is always the model evaluated at `now`.
+  /// returned result is always the model evaluated at `now`. A caller that
+  /// passes the same model every time infers without allocating.
   NodeInferenceResult InferAt(const Node& node, Epoch now,
                               const PassColors& colors,
                               ScoreModel* model = nullptr) const;

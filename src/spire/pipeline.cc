@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "common/epc.h"
+#include "common/scratch.h"
 #include "obs/trace.h"
 #include "store/archive_writer.h"
 
@@ -74,15 +75,16 @@ void SpirePipeline::RecordProvenance(const EventStream& out, std::size_t first,
     record.epoch = epoch;
     record.complete_inference = last_result_.complete;
     record.inference_waves = static_cast<int>(last_result_.waves);
-    const ObjectEstimate* estimate = nullptr;
     const char* stage = default_stage;
-    if (auto it = last_result_.estimates.find(event.object);
-        it != last_result_.estimates.end()) {
-      estimate = &it->second;
-    } else if (auto exited = exited_estimates_.find(event.object);
-               exited != exited_estimates_.end()) {
-      estimate = &exited->second;
-      stage = "exit";
+    const ObjectEstimate* estimate =
+        last_result_.Find(graph_.FindNodeId(event.object), event.object);
+    if (estimate == nullptr) {
+      for (const ObjectEstimate& exited : exited_estimates_) {
+        if (exited.object != event.object) continue;
+        estimate = &exited;
+        stage = "exit";
+        break;
+      }
     }
     if (estimate != nullptr) {
       if (IsContainmentEvent(event.type)) {
@@ -117,12 +119,13 @@ void SpirePipeline::RetireObject(ObjectId id, Epoch epoch, EventStream* out) {
   // ends any containment, which also resumes the object's own location
   // output under level-2 compression — otherwise the final stay of a
   // contained object would be unrecoverable once its container retires.
-  auto it = last_result_.estimates.find(id);
-  if (it != last_result_.estimates.end() && !it->second.withheld &&
-      !IsWarmupLocation(it->second.location)) {
+  const ObjectEstimate* estimate =
+      last_result_.Retire(graph_.FindNodeId(id), id);
+  if (estimate != nullptr && !estimate->withheld &&
+      !IsWarmupLocation(estimate->location)) {
     ObjectStateEstimate state;
     state.object = id;
-    state.location = it->second.location;
+    state.location = estimate->location;
     state.container = kNoObject;
     // An exit sighting is a definite read, never a disappearance; leaving
     // the flag implicit would let a stale estimate smuggle a Missing
@@ -130,10 +133,7 @@ void SpirePipeline::RetireObject(ObjectId id, Epoch epoch, EventStream* out) {
     state.missing = false;
     compressor_->Report(state, epoch, out);
   }
-  if (it != last_result_.estimates.end()) {
-    exited_estimates_.emplace(id, it->second);
-    last_result_.estimates.erase(it);
-  }
+  if (estimate != nullptr) exited_estimates_.push_back(*estimate);
   compressor_->Retire(id, epoch, out);
   graph_.RemoveNode(id);
   retired_[id] = epoch;
@@ -234,13 +234,15 @@ void SpirePipeline::ProcessEpoch(Epoch epoch, EpochReadings readings,
 
   // Device-level cleaning: deduplicate multi-reader/multi-tick readings and
   // drop readings of objects inside their exit grace window.
-  EpochBatch batch = [&] {
+  const EpochBatch& batch = [&]() -> const EpochBatch& {
     obs::ScopedSpan span("pipeline", "smooth", epoch);
-    Deduplicate(&readings);
-    std::erase_if(readings, [&](const RfidReading& r) {
-      return IsRetired(r.tag, epoch);
-    });
-    return GroupByReader(readings, epoch);
+    deduplicator_.Run(&readings);
+    if (!retired_.empty()) {
+      std::erase_if(readings, [&](const RfidReading& r) {
+        return IsRetired(r.tag, epoch);
+      });
+    }
+    return grouper_.Group(readings, epoch);
   }();
 
   // Data capture: stream-driven graph update.
@@ -260,17 +262,16 @@ void SpirePipeline::ProcessEpoch(Epoch epoch, EpochReadings readings,
   {
     obs::ScopedSpan span("pipeline", "inference", epoch);
     if (complete) {
-      last_result_ = inference_.RunComplete(epoch);
+      inference_.RunComplete(epoch, &last_result_);
     } else if (options_.inference_mode == InferenceMode::kCompleteOnly) {
-      last_result_ = InferenceResult{};
-      last_result_.epoch = epoch;
+      last_result_.Reset(epoch, false);
     } else {
-      last_result_ = inference_.RunPartial(epoch);
+      inference_.RunPartial(epoch, &last_result_);
     }
   }
   if (options_.resolve_conflicts) {
     obs::ScopedSpan span("pipeline", "conflict", epoch);
-    ResolveConflicts(&last_result_);
+    resolver_.Resolve(&last_result_);
   }
   last_costs_.inference_seconds = SecondsSince(t1);
   total_costs_.update_seconds += last_costs_.update_seconds;
@@ -299,24 +300,23 @@ void SpirePipeline::ProcessEpoch(Epoch epoch, EpochReadings readings,
     // The sort keys (containment-ends flag, layer) are precomputed once per
     // id — OpenContainerOf is a compressor-state lookup, far too heavy to
     // re-evaluate inside a comparator.
-    struct ReportEntry {
-      ObjectId id;
-      const ObjectEstimate* estimate;
-      bool ends_containment;
-      int layer;
-    };
-    std::vector<ReportEntry> entries;
-    entries.reserve(last_result_.estimates.size());
-    for (const auto& [id, estimate] : last_result_.estimates) {
-      if (estimate.withheld) continue;
+    // Retired objects' entries are tombstones: their final report went out
+    // with the retirement above.
+    const std::vector<InferenceResult::Entry>& entries =
+        last_result_.entries();
+    report_.clear();
+    TrimScratch(&report_, entries.size());
+    for (std::uint32_t i = 0; i < entries.size(); ++i) {
+      const ObjectEstimate& estimate = entries[i].estimate;
+      if (entries[i].retired || estimate.withheld) continue;
       // No inference output for objects in the warm-up (entry door) area.
       if (IsWarmupLocation(estimate.location)) continue;
-      const ObjectId open = compressor_->OpenContainerOf(id);
-      entries.push_back(ReportEntry{
-          id, &estimate, open != kNoObject && estimate.container != open,
-          EpcLayer(id)});
+      const ObjectId open = compressor_->OpenContainerOf(estimate.object);
+      report_.push_back(ReportEntry{
+          estimate.object, i, open != kNoObject && estimate.container != open,
+          static_cast<std::uint8_t>(EpcLayer(estimate.object))});
     }
-    std::sort(entries.begin(), entries.end(),
+    std::sort(report_.begin(), report_.end(),
               [](const ReportEntry& a, const ReportEntry& b) {
                 if (a.ends_containment != b.ends_containment) {
                   return a.ends_containment;
@@ -324,11 +324,10 @@ void SpirePipeline::ProcessEpoch(Epoch epoch, EpochReadings readings,
                 if (a.layer != b.layer) return a.layer > b.layer;
                 return a.id < b.id;
               });
-    for (const ReportEntry& entry : entries) {
-      const ObjectId id = entry.id;
-      const ObjectEstimate& estimate = *entry.estimate;
+    for (const ReportEntry& entry : report_) {
+      const ObjectEstimate& estimate = entries[entry.index].estimate;
       ObjectStateEstimate state;
-      state.object = id;
+      state.object = entry.id;
       state.location = estimate.location;
       // Inference ran before the exit handling above, so an estimate may still
       // name a container that retired this epoch (or within its grace window).

@@ -3,6 +3,7 @@
 // conflict resolution, and online compression into an output event stream.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -157,6 +158,15 @@ class SpirePipeline {
     }
   };
 
+  /// One estimate queued for the report step (its position in
+  /// last_result_'s entries), with its sort keys precomputed.
+  struct ReportEntry {
+    ObjectId id;
+    std::uint32_t index;
+    bool ends_containment;
+    std::uint8_t layer;
+  };
+
   /// Objects staged by one StageDeparture call, capturing into `sink`.
   struct DepartureGroup {
     std::vector<ObjectId> ids;
@@ -185,6 +195,14 @@ class SpirePipeline {
   IterativeInference inference_;
   InferenceSchedule schedule_;
   std::unique_ptr<Compressor> compressor_;
+  /// Per-epoch scratch, reused so that steady epochs do not allocate:
+  /// smoothing's winner table and reader batch, the conflict resolver's
+  /// index lists, and the report step's entries. last_result_ is refilled
+  /// by every pass.
+  Deduplicator deduplicator_;
+  EpochGrouper grouper_;
+  ConflictResolver resolver_;
+  std::vector<ReportEntry> report_;
   InferenceResult last_result_;
   /// Recently retired objects and their retirement epoch (exit grace).
   std::unordered_map<ObjectId, Epoch> retired_;
@@ -195,8 +213,9 @@ class SpirePipeline {
   obs::ExplainLog* explain_ = nullptr;
   SuppressionRecorder suppression_recorder_;
   /// Estimates of objects that exited this epoch, preserved for provenance
-  /// after their entries leave last_result_ (cleared each epoch).
-  std::unordered_map<ObjectId, ObjectEstimate> exited_estimates_;
+  /// after their entries in last_result_ are tombstoned (cleared each
+  /// epoch).
+  std::vector<ObjectEstimate> exited_estimates_;
   EpochCosts last_costs_;
   EpochCosts total_costs_;
   std::size_t epochs_processed_ = 0;

@@ -1,6 +1,7 @@
 #include "stream/dedup.h"
 
-#include <unordered_map>
+#include <algorithm>
+#include <bit>
 
 #include "obs/registry.h"
 
@@ -22,47 +23,81 @@ const Instruments* GetInstruments() {
   return &instruments;
 }
 
+constexpr std::uint32_t kNoWinner = static_cast<std::uint32_t>(-1);
+
 }  // namespace
 
-DedupStats Deduplicate(EpochReadings* readings) {
+Deduplicator::Entry& Deduplicator::Probe(ObjectId tag) {
+  // Fibonacci hashing: the top bits of tag * 2^64/phi; linear probing.
+  const std::size_t mask = table_.size() - 1;
+  std::size_t i =
+      static_cast<std::size_t>((tag * 0x9E3779B97F4A7C15ull) >> shift_);
+  while (true) {
+    Entry& entry = table_[i];
+    if (entry.stamp != stamp_) {
+      entry.tag = tag;
+      entry.stamp = stamp_;
+      entry.winner = kNoWinner;
+      return entry;
+    }
+    if (entry.tag == tag) return entry;
+    i = (i + 1) & mask;
+  }
+}
+
+DedupStats Deduplicator::Run(EpochReadings* readings) {
   DedupStats stats;
   stats.input_readings = readings->size();
   const Instruments* instruments = GetInstruments();
   if (instruments != nullptr) {
     instruments->readings_in->Add(stats.input_readings);
   }
-  if (readings->size() <= 1) return stats;
+  const std::size_t n = readings->size();
+  if (n <= 1) return stats;
 
-  // First pass: for each (epoch, tag), find the index of the winning reading
+  const std::size_t want = std::bit_ceil(std::max<std::size_t>(16, 2 * n));
+  if (table_.size() < want || table_.size() > 4 * want) {
+    // A fresh vector, not assign(): assign keeps the old capacity, and a
+    // burst's table would stay resident.
+    table_ = std::vector<Entry>(want);
+    stamp_ = 0;
+    shift_ = 64 - std::countr_zero(want);
+  }
+  if (++stamp_ == 0) {
+    // The stamp wrapped: entries from 2^32 calls ago would read as live.
+    for (Entry& entry : table_) entry.stamp = 0;
+    stamp_ = 1;
+  }
+
+  // First pass: for each tag, find the index of the winning reading
   // (highest tick; later arrival wins a tie).
-  struct Winner {
-    std::size_t index;
-    std::uint16_t tick;
-  };
-  std::unordered_map<ObjectId, Winner> winners;
-  winners.reserve(readings->size());
-  for (std::size_t i = 0; i < readings->size(); ++i) {
-    const RfidReading& r = (*readings)[i];
-    auto [it, inserted] = winners.try_emplace(r.tag, Winner{i, r.tick});
-    if (!inserted && r.tick >= it->second.tick) {
-      it->second = Winner{i, r.tick};
+  EpochReadings& r = *readings;
+  for (std::size_t i = 0; i < n; ++i) {
+    Entry& entry = Probe(r[i].tag);
+    if (entry.winner == kNoWinner || r[i].tick >= r[entry.winner].tick) {
+      entry.winner = static_cast<std::uint32_t>(i);
     }
   }
 
-  // Second pass: keep only the winners, preserving arrival order.
-  EpochReadings kept;
-  kept.reserve(winners.size());
-  for (std::size_t i = 0; i < readings->size(); ++i) {
-    if (winners.at((*readings)[i].tag).index == i) {
-      kept.push_back((*readings)[i]);
-    }
+  // Second pass: keep only the winners, compacted in place in arrival
+  // order (the write position never passes the read position).
+  std::size_t write = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (Probe(r[i].tag).winner != i) continue;
+    if (write != i) r[write] = r[i];
+    ++write;
   }
-  stats.duplicates_dropped = readings->size() - kept.size();
+  r.resize(write);
+  stats.duplicates_dropped = n - write;
   if (instruments != nullptr) {
     instruments->duplicates_dropped->Add(stats.duplicates_dropped);
   }
-  *readings = std::move(kept);
   return stats;
+}
+
+DedupStats Deduplicate(EpochReadings* readings) {
+  Deduplicator deduplicator;
+  return deduplicator.Run(readings);
 }
 
 }  // namespace spire

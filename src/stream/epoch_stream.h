@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "stream/reading.h"
@@ -32,9 +33,27 @@ struct EpochBatch {
   }
 };
 
-/// Groups one epoch's readings by reader, in first-appearance order of the
-/// readers. Readings must all carry the same epoch (checked with assert in
-/// debug builds); tags within a reader keep arrival order.
+/// Groups epoch after epoch into one EpochBatch that outlives each call:
+/// the per-reader tag lists keep their storage while the epochs' needs
+/// stay alike (common/scratch.h), and readers are placed through a table
+/// indexed by ReaderId, so a steady epoch groups without allocating or
+/// hashing.
+class EpochGrouper {
+ public:
+  /// Groups one epoch's readings by reader, in first-appearance order of
+  /// the readers. Readings must all carry the same epoch (checked with
+  /// assert in debug builds); tags within a reader keep arrival order. The
+  /// batch stays valid until the next call.
+  const EpochBatch& Group(const EpochReadings& readings, Epoch epoch);
+
+ private:
+  EpochBatch batch_;
+  /// ReaderId -> position in batch_.per_reader during one call; reset
+  /// through the batch's own readers afterwards.
+  std::vector<std::uint32_t> position_;
+};
+
+/// Groups one epoch's readings by reader (a one-off EpochGrouper).
 EpochBatch GroupByReader(const EpochReadings& readings, Epoch epoch);
 
 }  // namespace spire

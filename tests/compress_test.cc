@@ -2,6 +2,9 @@
 // well-formedness validation, and the level-2 -> level-1 decompressor.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "common/epc.h"
 #include "compress/compressor.h"
 #include "compress/decompress.h"
@@ -600,6 +603,174 @@ TEST(DecompressorTest, StreamingMatchesBatch) {
   for (const Event& e : level2) streaming.Push(e, &incremental);
   streaming.Finish(&incremental);
   EXPECT_EQ(incremental, Decompressor::DecompressAll(level2));
+}
+
+// ------------------------------------------------------- Churn cancellation --
+
+/// CancelLocationChurn as it was before it walked per-object chains: every
+/// rule scans forward past other objects' messages, quadratic in the slice.
+/// Kept verbatim as the reference the chain walk must agree with.
+std::vector<ChurnSplice> ReferenceCancelLocationChurn(EventStream* events,
+                                                      std::size_t first) {
+  const std::size_t n = events->size();
+  std::vector<bool> removed(n - first, false);
+
+  // Pass 1: zero-length stays superseded by another stay at the same epoch.
+  for (std::size_t i = first; i < n; ++i) {
+    const Event& start_event = (*events)[i];
+    if (removed[i - first] || start_event.type != EventType::kStartLocation) {
+      continue;
+    }
+    // The stay's close must be its very next location message...
+    std::size_t close = n;
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const Event& later = (*events)[j];
+      if (removed[j - first] || later.object != start_event.object ||
+          IsContainmentEvent(later.type)) {
+        continue;
+      }
+      if (later.type == EventType::kEndLocation &&
+          later.location == start_event.location &&
+          later.start == start_event.start &&
+          later.end == start_event.start) {
+        close = j;
+      }
+      break;
+    }
+    if (close == n) continue;
+    // ...and a replacement stay must open at the same epoch afterwards.
+    // Without one the zero-length stay is a genuine visit (e.g. an exit
+    // sighting) and stays; a Missing in between is a real departure.
+    for (std::size_t k = close + 1; k < n; ++k) {
+      const Event& later = (*events)[k];
+      if (removed[k - first] || later.object != start_event.object ||
+          IsContainmentEvent(later.type)) {
+        continue;
+      }
+      if (later.type == EventType::kStartLocation &&
+          later.start == start_event.start) {
+        removed[i - first] = true;
+        removed[close - first] = true;
+      }
+      break;
+    }
+  }
+
+  // Pass 2: End immediately re-opened in place — the stay never ended.
+  std::vector<ChurnSplice> splices;
+  for (std::size_t i = first; i < n; ++i) {
+    const Event& end_event = (*events)[i];
+    if (removed[i - first] || end_event.type != EventType::kEndLocation) {
+      continue;
+    }
+    for (std::size_t j = i + 1; j < n; ++j) {
+      const Event& later = (*events)[j];
+      if (removed[j - first] || later.object != end_event.object ||
+          IsContainmentEvent(later.type)) {
+        continue;
+      }
+      if (later.type == EventType::kMissing) break;  // Keep a real departure.
+      if (later.type == EventType::kStartLocation) {
+        if (later.location == end_event.location &&
+            later.start == end_event.end) {
+          removed[i - first] = true;
+          removed[j - first] = true;
+          // The reopened stay may itself have ended later in this same
+          // epoch; then the splice runs *through* the pair: the surviving
+          // End inherits the original start instead of the stay being left
+          // open.
+          bool closed_later = false;
+          for (std::size_t k = j + 1; k < n; ++k) {
+            Event& after = (*events)[k];
+            if (removed[k - first] || after.object != end_event.object ||
+                IsContainmentEvent(after.type)) {
+              continue;
+            }
+            if (after.type == EventType::kEndLocation &&
+                after.location == end_event.location &&
+                after.start == later.start) {
+              after.start = end_event.start;
+              closed_later = true;
+            }
+            break;
+          }
+          if (!closed_later) {
+            splices.push_back(ChurnSplice{end_event.object,
+                                          end_event.location,
+                                          end_event.start});
+          }
+        }
+        break;  // Only the immediately following stay can cancel the end.
+      }
+      if (later.type == EventType::kEndLocation) break;
+    }
+  }
+
+  std::size_t write = first;
+  for (std::size_t i = first; i < n; ++i) {
+    if (!removed[i - first]) {
+      if (write != i) (*events)[write] = (*events)[i];
+      ++write;
+    }
+  }
+  events->resize(write);
+  return splices;
+}
+
+TEST(ChurnTest, ChainWalkAgreesWithTheForwardScanOnRandomSlices) {
+  // Single-epoch slices (epoch 50) over three objects and two locations,
+  // dense in the shapes the rules look for: zero-length stays, End/Start
+  // pairs at one location, Missing singletons and interleaved containment
+  // messages, behind a prefix the call must leave alone.
+  constexpr Epoch kNow = 50;
+  const ObjectId objects[] = {kItem, kCase, kPallet};
+  std::mt19937 rng(20240607);
+  std::size_t cancelled = 0, spliced = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    EventStream events;
+    const std::size_t prefix = rng() % 3;
+    for (std::size_t i = 0; i < prefix; ++i) {
+      events.push_back(Event::StartLocation(kItem, 1, kNow - 10));
+    }
+    const int length = 1 + static_cast<int>(rng() % 14);
+    for (int i = 0; i < length; ++i) {
+      const ObjectId object = objects[rng() % 3];
+      const LocationId location = static_cast<LocationId>(1 + rng() % 2);
+      const Epoch earlier = kNow - 1 - static_cast<Epoch>(rng() % 3);
+      switch (rng() % 6) {
+        case 0:
+        case 1:
+          events.push_back(Event::StartLocation(object, location, kNow));
+          break;
+        case 2:
+          events.push_back(Event::EndLocation(
+              object, location, rng() % 2 == 0 ? kNow : earlier, kNow));
+          break;
+        case 3:
+          events.push_back(Event::EndLocation(object, location, earlier,
+                                              kNow));
+          break;
+        case 4:
+          events.push_back(Event::Missing(object, location, kNow));
+          break;
+        default:
+          events.push_back(Event::StartContainment(object, kPallet, kNow));
+          break;
+      }
+    }
+    EventStream expected = events;
+    const std::vector<ChurnSplice> expected_splices =
+        ReferenceCancelLocationChurn(&expected, prefix);
+    const std::vector<ChurnSplice> splices =
+        CancelLocationChurn(&events, prefix);
+    ASSERT_EQ(events, expected) << "trial " << trial;
+    ASSERT_EQ(splices, expected_splices) << "trial " << trial;
+    cancelled += events.size() < static_cast<std::size_t>(length) + prefix;
+    spliced += !splices.empty();
+  }
+  // The slices exercise both rules, not just the pass-through path.
+  EXPECT_GT(cancelled, 400u);
+  EXPECT_GT(spliced, 100u);
 }
 
 }  // namespace

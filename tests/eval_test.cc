@@ -35,12 +35,12 @@ TEST(AccuracyTest, CountsLocationAndContainmentErrors) {
   item.object = kItem;
   item.location = 5;          // Wrong (truth 3).
   item.container = kCase;     // Right.
-  result.estimates[kItem] = item;
+  result.Put(0, item, kNoNode);
   ObjectEstimate case_est;
   case_est.object = kCase;
   case_est.location = 3;      // Right.
   case_est.container = kItem; // Wrong (truth none).
-  result.estimates[kCase] = case_est;
+  result.Put(1, case_est, kNoNode);
 
   AccuracyStats stats = EvaluateEstimates(result, world, kUnknownLocation);
   EXPECT_EQ(stats.location_total, 2u);
@@ -58,8 +58,23 @@ TEST(AccuracyTest, ExcludesWarmupLocation) {
   ObjectEstimate item;
   item.object = kItem;
   item.location = 9;
-  result.estimates[kItem] = item;
+  result.Put(0, item, kNoNode);
   AccuracyStats stats = EvaluateEstimates(result, world, /*exclude=*/0);
+  EXPECT_EQ(stats.location_total, 0u);
+  EXPECT_EQ(stats.containment_total, 0u);
+}
+
+TEST(AccuracyTest, RetiredEstimatesNotScored) {
+  // An object retired after the pass leaves a tombstone in the result.
+  PhysicalWorld world;
+  ASSERT_TRUE(world.AddObject(kItem, 3).ok());
+  InferenceResult result;
+  ObjectEstimate item;
+  item.object = kItem;
+  item.location = 5;
+  result.Put(0, item, kNoNode);
+  ASSERT_NE(result.Retire(0, kItem), nullptr);
+  AccuracyStats stats = EvaluateEstimates(result, world, kUnknownLocation);
   EXPECT_EQ(stats.location_total, 0u);
   EXPECT_EQ(stats.containment_total, 0u);
 }
@@ -72,7 +87,7 @@ TEST(AccuracyTest, WithheldLocationsNotScored) {
   item.object = kItem;
   item.location = kUnknownLocation;
   item.withheld = true;
-  result.estimates[kItem] = item;
+  result.Put(0, item, kNoNode);
   AccuracyStats stats = EvaluateEstimates(result, world, kUnknownLocation);
   EXPECT_EQ(stats.location_total, 0u);
   EXPECT_EQ(stats.containment_total, 1u);  // Containment still scored.
@@ -84,7 +99,7 @@ TEST(AccuracyTest, ExitedObjectsSkipped) {
   ObjectEstimate item;
   item.object = kItem;
   item.location = 4;
-  result.estimates[kItem] = item;
+  result.Put(0, item, kNoNode);
   AccuracyStats stats = EvaluateEstimates(result, world, kUnknownLocation);
   EXPECT_EQ(stats.location_total, 0u);
 }
@@ -97,7 +112,7 @@ TEST(AccuracyTest, UnknownMatchingUnknownIsCorrect) {
   ObjectEstimate item;
   item.object = kItem;
   item.location = kUnknownLocation;
-  result.estimates[kItem] = item;
+  result.Put(0, item, kNoNode);
   AccuracyStats stats = EvaluateEstimates(result, world, kUnknownLocation);
   EXPECT_EQ(stats.location_total, 1u);
   EXPECT_EQ(stats.location_errors, 0u);

@@ -97,10 +97,10 @@ TEST(GraphTest, ColoredIndexTracksLayerAndColor) {
   EXPECT_EQ(graph.ColoredAt(7, 2).size(), 1u);
   EXPECT_TRUE(graph.ColoredAt(7, 1).empty());
   EXPECT_TRUE(graph.ColoredAt(9, 0).empty());
-  EXPECT_EQ(graph.ColoredNodes().size(), 2u);
+  EXPECT_EQ(graph.ColoredSlots().size(), 2u);
   graph.BeginEpoch(2);
   EXPECT_TRUE(graph.ColoredAt(7, 0).empty());
-  EXPECT_TRUE(graph.ColoredNodes().empty());
+  EXPECT_TRUE(graph.ColoredSlots().empty());
 }
 
 TEST(GraphTest, DoubleColorSameEpochIsIdempotent) {
@@ -109,7 +109,7 @@ TEST(GraphTest, DoubleColorSameEpochIsIdempotent) {
   Node& node = graph.GetOrCreateNode(Obj(PackagingLevel::kItem, 1));
   graph.ColorNode(node, 3);
   graph.ColorNode(node, 3);
-  EXPECT_EQ(graph.ColoredNodes().size(), 1u);
+  EXPECT_EQ(graph.ColoredSlots().size(), 1u);
   EXPECT_EQ(graph.ColoredAt(3, 0).size(), 1u);
 }
 
@@ -166,7 +166,7 @@ TEST(GraphTest, RemoveNodeDropsIncidentEdgesAndIndex) {
   EXPECT_EQ(graph.NumNodes(), 2u);
   EXPECT_EQ(graph.NumEdges(), 0u);
   EXPECT_TRUE(graph.ColoredAt(5, 1).empty());
-  EXPECT_TRUE(graph.ColoredNodes().empty());
+  EXPECT_TRUE(graph.ColoredSlots().empty());
   EXPECT_TRUE(graph.FindNode(pallet)->child_edges.empty());
   EXPECT_TRUE(graph.FindNode(item)->parent_edges.empty());
 }

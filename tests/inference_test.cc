@@ -29,6 +29,32 @@ const ObjectId kCaseA = Obj(PackagingLevel::kCase, 2);
 const ObjectId kCaseB = Obj(PackagingLevel::kCase, 3);
 const ObjectId kPallet = Obj(PackagingLevel::kPallet, 4);
 
+/// The live estimate of `object` in `result`; fails the test (and returns
+/// a default estimate) when there is none.
+const ObjectEstimate& At(const InferenceResult& result, ObjectId object) {
+  static const ObjectEstimate kMissing;
+  const ObjectEstimate* estimate = result.Find(object);
+  if (estimate == nullptr) {
+    ADD_FAILURE() << "no estimate for " << EpcToString(object);
+    return kMissing;
+  }
+  return *estimate;
+}
+
+/// A stand-in node slot per test object: its EPC serial (unique among the
+/// objects of these tests).
+NodeId SlotOf(ObjectId object) {
+  return static_cast<NodeId>(DecodeEpc(object).serial);
+}
+
+/// Records an estimate the way a pass does: under its object's slot, with
+/// its container's slot.
+void Put(InferenceResult* result, const ObjectEstimate& estimate) {
+  result->Put(SlotOf(estimate.object), estimate,
+              estimate.container == kNoObject ? kNoNode
+                                              : SlotOf(estimate.container));
+}
+
 /// Pushes `history` (index 0 = oldest pushed = least recent ... pushed in
 /// order, so the LAST element becomes the most recent bit).
 void PushHistory(Edge& edge, std::initializer_list<bool> history) {
@@ -443,8 +469,8 @@ TEST_F(IterativeTest, ObservedNodesKeepTheirColors) {
   Node& item = graph_.GetOrCreateNode(kItem);
   graph_.ColorNode(item, 5);
   InferenceResult result = inference_.RunComplete(1);
-  ASSERT_TRUE(result.estimates.contains(kItem));
-  const ObjectEstimate& estimate = result.estimates.at(kItem);
+  ASSERT_TRUE(result.Find(kItem) != nullptr);
+  const ObjectEstimate& estimate = At(result, kItem);
   EXPECT_EQ(estimate.location, 5);
   EXPECT_TRUE(estimate.observed);
   EXPECT_EQ(estimate.location_prob, 1.0);
@@ -462,7 +488,7 @@ TEST_F(IterativeTest, UnobservedNeighborInferredFromColoredNode) {
   graph_.BeginEpoch(2);
   graph_.ColorNode(*graph_.FindNode(kItem), 5);  // Case missed this epoch.
   InferenceResult result = inference_.RunComplete(2);
-  const ObjectEstimate& case_estimate = result.estimates.at(kCaseA);
+  const ObjectEstimate& case_estimate = At(result, kCaseA);
   EXPECT_FALSE(case_estimate.observed);
   EXPECT_EQ(case_estimate.location, 5);  // Fresh fading color + propagation.
 }
@@ -482,8 +508,8 @@ TEST_F(IterativeTest, ChainPropagationAcrossWaves) {
   graph_.BeginEpoch(2);
   graph_.ColorNode(*graph_.FindNode(kItem), 5);
   InferenceResult result = inference_.RunComplete(2);
-  EXPECT_EQ(result.estimates.at(kCaseA).location, 5);
-  EXPECT_EQ(result.estimates.at(kPallet).location, 5);
+  EXPECT_EQ(At(result, kCaseA).location, 5);
+  EXPECT_EQ(At(result, kPallet).location, 5);
 }
 
 TEST_F(IterativeTest, MutableAlphaTakesEffectOnTheNextPass) {
@@ -498,12 +524,12 @@ TEST_F(IterativeTest, MutableAlphaTakesEffectOnTheNextPass) {
   PushHistory(graph_.edge(recent), {false, false, true});
   PushHistory(graph_.edge(old), {true, false, false});
   // alpha = 0: the two histories weigh the same.
-  EXPECT_EQ(inference.RunComplete(1).estimates.at(kItem).container_prob, 0.5);
+  EXPECT_EQ(At(inference.RunComplete(1), kItem).container_prob, 0.5);
 
   inference.mutable_params().alpha = 2.0;
   graph_.BeginEpoch(2);
   graph_.ColorNode(*graph_.FindNode(kItem), 5);
-  const ObjectEstimate estimate = inference.RunComplete(2).estimates.at(kItem);
+  const ObjectEstimate estimate = At(inference.RunComplete(2), kItem);
   EXPECT_EQ(estimate.container, kCaseA);
   EXPECT_GT(estimate.container_prob, 0.5);
 }
@@ -515,7 +541,7 @@ TEST_F(IterativeTest, IdentifiesMissingObject) {
   // Long silence, no edges: the object is most likely away.
   graph_.BeginEpoch(500);
   InferenceResult result = inference_.RunComplete(500);
-  const ObjectEstimate& estimate = result.estimates.at(kItem);
+  const ObjectEstimate& estimate = At(result, kItem);
   EXPECT_EQ(estimate.location, kUnknownLocation);
   EXPECT_FALSE(estimate.withheld);  // Complete inference reports it.
 }
@@ -535,8 +561,8 @@ TEST_F(IterativeTest, PartialInferenceWithholdsUnknown) {
   no_prune.prune_threshold = 0.0;  // Keep the weak-evidence edge alive.
   IterativeInference inference(&graph_, no_prune);
   InferenceResult result = inference.RunPartial(300);
-  ASSERT_TRUE(result.estimates.contains(kCaseA));
-  const ObjectEstimate& estimate = result.estimates.at(kCaseA);
+  ASSERT_TRUE(result.Find(kCaseA) != nullptr);
+  const ObjectEstimate& estimate = At(result, kCaseA);
   // The case is stale; partial inference yields "unknown" but withholds it.
   EXPECT_EQ(estimate.location, kUnknownLocation);
   EXPECT_TRUE(estimate.withheld);
@@ -558,9 +584,9 @@ TEST_F(IterativeTest, PartialInferenceRespectsHopLimit) {
   params.prune_threshold = 0.0;  // Keep the evidence-free edges alive.
   IterativeInference limited(&graph_, params);
   InferenceResult result = limited.RunPartial(2);
-  EXPECT_TRUE(result.estimates.contains(kItem));     // d=0.
-  EXPECT_TRUE(result.estimates.contains(kCaseA));    // d=1.
-  EXPECT_FALSE(result.estimates.contains(kPallet));  // d=2: out of range.
+  EXPECT_TRUE(result.Find(kItem) != nullptr);     // d=0.
+  EXPECT_TRUE(result.Find(kCaseA) != nullptr);    // d=1.
+  EXPECT_FALSE(result.Find(kPallet) != nullptr);  // d=2: out of range.
 }
 
 TEST_F(IterativeTest, CompleteInferenceCoversUnreachableNodes) {
@@ -570,8 +596,8 @@ TEST_F(IterativeTest, CompleteInferenceCoversUnreachableNodes) {
   graph_.BeginEpoch(2);
   // Nothing colored at all: every node is "unreachable".
   InferenceResult result = inference_.RunComplete(2);
-  ASSERT_TRUE(result.estimates.contains(kItem));
-  EXPECT_EQ(result.estimates.at(kItem).location, 5);  // Fresh fade wins.
+  ASSERT_TRUE(result.Find(kItem) != nullptr);
+  EXPECT_EQ(At(result, kItem).location, 5);  // Fresh fade wins.
 }
 
 TEST_F(IterativeTest, PruningRemovesWeakEdgesDuringInference) {
@@ -588,7 +614,7 @@ TEST_F(IterativeTest, PruningRemovesWeakEdgesDuringInference) {
   EXPECT_GE(result.edges_pruned, 1u);
   EXPECT_FALSE(graph_.edge(weak).alive);
   EXPECT_TRUE(graph_.edge(strong).alive);
-  EXPECT_EQ(result.estimates.at(kItem).container, kCaseB);
+  EXPECT_EQ(At(result, kItem).container, kCaseB);
 }
 
 TEST_F(IterativeTest, AllEdgesPrunedMeansNoContainer) {
@@ -598,7 +624,7 @@ TEST_F(IterativeTest, AllEdgesPrunedMeansNoContainer) {
   EdgeId weak = graph_.AddEdge(kCaseA, kItem);
   for (int i = 0; i < 8; ++i) graph_.edge(weak).recent_colocations.Push(false);
   InferenceResult result = inference_.RunComplete(1);
-  EXPECT_EQ(result.estimates.at(kItem).container, kNoObject);
+  EXPECT_EQ(At(result, kItem).container, kNoObject);
   EXPECT_EQ(graph_.NumEdges(), 0u);
 }
 
@@ -618,12 +644,12 @@ ObjectEstimate MakeEstimate(ObjectId object, LocationId location,
 
 TEST(ConflictTest, RuleIObservedParentOverridesInferredChild) {
   InferenceResult result;
-  result.estimates[kCaseA] = MakeEstimate(kCaseA, 7, kNoObject, true);
-  result.estimates[kItem] = MakeEstimate(kItem, 5, kCaseA, false);
+  Put(&result, MakeEstimate(kCaseA, 7, kNoObject, true));
+  Put(&result, MakeEstimate(kItem, 5, kCaseA, false));
   ConflictStats stats = ResolveConflicts(&result);
   EXPECT_EQ(stats.children_overridden, 1u);
-  EXPECT_EQ(result.estimates.at(kItem).location, 7);
-  EXPECT_EQ(result.estimates.at(kItem).container, kCaseA);
+  EXPECT_EQ(At(result, kItem).location, 7);
+  EXPECT_EQ(At(result, kItem).container, kCaseA);
 }
 
 TEST(ConflictTest, RuleIIMajorityVoteRepositionsParent) {
@@ -631,28 +657,28 @@ TEST(ConflictTest, RuleIIMajorityVoteRepositionsParent) {
   ObjectId i1 = Obj(PackagingLevel::kItem, 10);
   ObjectId i2 = Obj(PackagingLevel::kItem, 11);
   ObjectId i3 = Obj(PackagingLevel::kItem, 12);
-  result.estimates[kCaseA] = MakeEstimate(kCaseA, 3, kNoObject, false);
-  result.estimates[i1] = MakeEstimate(i1, 7, kCaseA, true);
-  result.estimates[i2] = MakeEstimate(i2, 7, kCaseA, true);
-  result.estimates[i3] = MakeEstimate(i3, 3, kCaseA, true);
+  Put(&result, MakeEstimate(kCaseA, 3, kNoObject, false));
+  Put(&result, MakeEstimate(i1, 7, kCaseA, true));
+  Put(&result, MakeEstimate(i2, 7, kCaseA, true));
+  Put(&result, MakeEstimate(i3, 3, kCaseA, true));
   ConflictStats stats = ResolveConflicts(&result);
   EXPECT_EQ(stats.parents_repositioned, 1u);
-  EXPECT_EQ(result.estimates.at(kCaseA).location, 7);
+  EXPECT_EQ(At(result, kCaseA).location, 7);
   // The minority observed child ends its containment (Rule II).
   EXPECT_EQ(stats.containments_ended, 1u);
-  EXPECT_EQ(result.estimates.at(i3).container, kNoObject);
+  EXPECT_EQ(At(result, i3).container, kNoObject);
 }
 
 TEST(ConflictTest, RuleIINoMajorityLeavesParentAndEndsConflicts) {
   InferenceResult result;
   ObjectId i1 = Obj(PackagingLevel::kItem, 10);
   ObjectId i2 = Obj(PackagingLevel::kItem, 11);
-  result.estimates[kCaseA] = MakeEstimate(kCaseA, 3, kNoObject, false);
-  result.estimates[i1] = MakeEstimate(i1, 7, kCaseA, true);
-  result.estimates[i2] = MakeEstimate(i2, 8, kCaseA, true);
+  Put(&result, MakeEstimate(kCaseA, 3, kNoObject, false));
+  Put(&result, MakeEstimate(i1, 7, kCaseA, true));
+  Put(&result, MakeEstimate(i2, 8, kCaseA, true));
   ConflictStats stats = ResolveConflicts(&result);
   EXPECT_EQ(stats.parents_repositioned, 0u);
-  EXPECT_EQ(result.estimates.at(kCaseA).location, 3);
+  EXPECT_EQ(At(result, kCaseA).location, 3);
   EXPECT_EQ(stats.containments_ended, 2u);
 }
 
@@ -661,33 +687,33 @@ TEST(ConflictTest, RuleIIIInferredChildFollowsParent) {
   ObjectId i1 = Obj(PackagingLevel::kItem, 10);
   ObjectId i2 = Obj(PackagingLevel::kItem, 11);
   ObjectId i3 = Obj(PackagingLevel::kItem, 12);
-  result.estimates[kCaseA] = MakeEstimate(kCaseA, 3, kNoObject, false);
-  result.estimates[i1] = MakeEstimate(i1, 7, kCaseA, true);
-  result.estimates[i2] = MakeEstimate(i2, 7, kCaseA, true);
-  result.estimates[i3] = MakeEstimate(i3, 3, kCaseA, false);  // Inferred.
+  Put(&result, MakeEstimate(kCaseA, 3, kNoObject, false));
+  Put(&result, MakeEstimate(i1, 7, kCaseA, true));
+  Put(&result, MakeEstimate(i2, 7, kCaseA, true));
+  Put(&result, MakeEstimate(i3, 3, kCaseA, false));  // Inferred.
   ResolveConflicts(&result);
   // Parent moved to 7; the inferred child follows rather than ending.
-  EXPECT_EQ(result.estimates.at(kCaseA).location, 7);
-  EXPECT_EQ(result.estimates.at(i3).location, 7);
-  EXPECT_EQ(result.estimates.at(i3).container, kCaseA);
+  EXPECT_EQ(At(result, kCaseA).location, 7);
+  EXPECT_EQ(At(result, i3).location, 7);
+  EXPECT_EQ(At(result, i3).container, kCaseA);
 }
 
 TEST(ConflictTest, ProcessesParentsTopDown) {
   // pallet (observed, loc 9) -> case (inferred, loc 5) -> item (inferred,
   // loc 5): Rule I fixes the case first, then the case fixes the item.
   InferenceResult result;
-  result.estimates[kPallet] = MakeEstimate(kPallet, 9, kNoObject, true);
-  result.estimates[kCaseA] = MakeEstimate(kCaseA, 5, kPallet, false);
-  result.estimates[kItem] = MakeEstimate(kItem, 5, kCaseA, false);
+  Put(&result, MakeEstimate(kPallet, 9, kNoObject, true));
+  Put(&result, MakeEstimate(kCaseA, 5, kPallet, false));
+  Put(&result, MakeEstimate(kItem, 5, kCaseA, false));
   ResolveConflicts(&result);
-  EXPECT_EQ(result.estimates.at(kCaseA).location, 9);
-  EXPECT_EQ(result.estimates.at(kItem).location, 9);
+  EXPECT_EQ(At(result, kCaseA).location, 9);
+  EXPECT_EQ(At(result, kItem).location, 9);
 }
 
 TEST(ConflictTest, AgreementIsUntouched) {
   InferenceResult result;
-  result.estimates[kCaseA] = MakeEstimate(kCaseA, 7, kNoObject, true);
-  result.estimates[kItem] = MakeEstimate(kItem, 7, kCaseA, false);
+  Put(&result, MakeEstimate(kCaseA, 7, kNoObject, true));
+  Put(&result, MakeEstimate(kItem, 7, kCaseA, false));
   ConflictStats stats = ResolveConflicts(&result);
   EXPECT_EQ(stats.children_overridden, 0u);
   EXPECT_EQ(stats.containments_ended, 0u);
@@ -696,11 +722,11 @@ TEST(ConflictTest, AgreementIsUntouched) {
 
 TEST(ConflictTest, MissingParentEstimateSkipsFamily) {
   InferenceResult result;
-  result.estimates[kItem] = MakeEstimate(kItem, 5, kCaseA, false);
+  Put(&result, MakeEstimate(kItem, 5, kCaseA, false));
   // kCaseA has no estimate (e.g. outside the partial-inference radius).
   ConflictStats stats = ResolveConflicts(&result);
   EXPECT_EQ(stats.children_overridden, 0u);
-  EXPECT_EQ(result.estimates.at(kItem).location, 5);
+  EXPECT_EQ(At(result, kItem).location, 5);
 }
 
 TEST(ConflictTest, WithheldParentSkipsResolution) {
@@ -708,10 +734,10 @@ TEST(ConflictTest, WithheldParentSkipsResolution) {
   ObjectEstimate parent = MakeEstimate(kCaseA, kUnknownLocation, kNoObject,
                                        false);
   parent.withheld = true;
-  result.estimates[kCaseA] = parent;
-  result.estimates[kItem] = MakeEstimate(kItem, 5, kCaseA, false);
+  Put(&result, parent);
+  Put(&result, MakeEstimate(kItem, 5, kCaseA, false));
   ResolveConflicts(&result);
-  EXPECT_EQ(result.estimates.at(kItem).location, 5);
+  EXPECT_EQ(At(result, kItem).location, 5);
 }
 
 TEST(ConflictTest, MissingIsNotAConflict) {
@@ -721,22 +747,151 @@ TEST(ConflictTest, MissingIsNotAConflict) {
   // parent exerts no location priority over its children.
   InferenceResult result;
   ObjectId i1 = Obj(PackagingLevel::kItem, 10);
-  result.estimates[kCaseA] = MakeEstimate(kCaseA, 7, kNoObject, true);
-  result.estimates[i1] =
-      MakeEstimate(i1, kUnknownLocation, kCaseA, false);  // Vanished item.
+  Put(&result, MakeEstimate(kCaseA, 7, kNoObject, true));
+  Put(&result,
+      MakeEstimate(i1, kUnknownLocation, kCaseA, false));  // Vanished item.
   ResolveConflicts(&result);
-  EXPECT_EQ(result.estimates.at(i1).location, kUnknownLocation);
-  EXPECT_EQ(result.estimates.at(i1).container, kCaseA);
+  EXPECT_EQ(At(result, i1).location, kUnknownLocation);
+  EXPECT_EQ(At(result, i1).container, kCaseA);
 
   InferenceResult parent_missing;
-  parent_missing.estimates[kCaseA] =
-      MakeEstimate(kCaseA, kUnknownLocation, kNoObject, false);
-  parent_missing.estimates[i1] = MakeEstimate(i1, 5, kCaseA, false);
+  Put(&parent_missing,
+      MakeEstimate(kCaseA, kUnknownLocation, kNoObject, false));
+  Put(&parent_missing, MakeEstimate(i1, 5, kCaseA, false));
   ConflictStats stats = ResolveConflicts(&parent_missing);
-  EXPECT_EQ(parent_missing.estimates.at(i1).location, 5);
+  EXPECT_EQ(At(parent_missing, i1).location, 5);
   // One voting child forms a majority and repositions the missing parent.
   EXPECT_EQ(stats.parents_repositioned, 1u);
-  EXPECT_EQ(parent_missing.estimates.at(kCaseA).location, 5);
+  EXPECT_EQ(At(parent_missing, kCaseA).location, 5);
+}
+
+// ----------------------------------------------- Recycled dense results --
+
+TEST(InferenceResultTest, ResetForgetsTheSlotsOfThePreviousPass) {
+  InferenceResult result;
+  Put(&result, MakeEstimate(kItem, 5, kNoObject, true));
+  Put(&result, MakeEstimate(kCaseA, 5, kNoObject, true));
+  result.Reset(2, false);
+  Put(&result, MakeEstimate(kCaseA, 6, kNoObject, true));
+  EXPECT_EQ(result.size(), 1u);
+  EXPECT_EQ(result.IndexOf(SlotOf(kItem)), InferenceResult::kNoIndex);
+  EXPECT_EQ(result.Find(SlotOf(kItem), kItem), nullptr);
+  EXPECT_EQ(result.Find(kItem), nullptr);
+  ASSERT_NE(result.Find(SlotOf(kCaseA), kCaseA), nullptr);
+  EXPECT_EQ(result.Find(SlotOf(kCaseA), kCaseA)->location, 6);
+}
+
+TEST_F(IterativeTest, ARecycledResultHoldsNoEstimateForAnAbsentSlot) {
+  graph_.BeginEpoch(1);
+  graph_.ColorNode(graph_.GetOrCreateNode(kItem), 5);
+  graph_.ColorNode(graph_.GetOrCreateNode(kCaseA), 5);
+  const NodeId case_slot = graph_.FindNodeId(kCaseA);
+  InferenceResult result;
+  inference_.RunComplete(1, &result);
+  ASSERT_NE(result.Find(case_slot, kCaseA), nullptr);
+
+  graph_.RemoveNode(kCaseA);
+  graph_.BeginEpoch(2);
+  graph_.ColorNode(*graph_.FindNode(kItem), 5);
+  inference_.RunPartial(2, &result);
+  EXPECT_EQ(result.epoch, 2);
+  EXPECT_FALSE(result.complete);
+  EXPECT_EQ(result.size(), 1u);
+  EXPECT_EQ(result.IndexOf(case_slot), InferenceResult::kNoIndex);
+  EXPECT_EQ(result.Find(kCaseA), nullptr);
+}
+
+TEST_F(IterativeTest, ARecycledSlotNeverReturnsTheOldObjectsEstimate) {
+  graph_.BeginEpoch(1);
+  graph_.ColorNode(graph_.GetOrCreateNode(kItem), 5);
+  const NodeId slot = graph_.FindNodeId(kItem);
+  InferenceResult result;
+  inference_.RunComplete(1, &result);
+  ASSERT_NE(result.Find(slot, kItem), nullptr);
+
+  // The item leaves; a new object takes over its slot.
+  const ObjectId newcomer = Obj(PackagingLevel::kItem, 99);
+  graph_.RemoveNode(kItem);
+  graph_.BeginEpoch(2);
+  Node& node = graph_.GetOrCreateNode(newcomer);
+  ASSERT_EQ(node.self, slot);
+  EXPECT_EQ(result.Find(slot, newcomer), nullptr);  // Last pass: the item's.
+
+  graph_.ColorNode(node, 8);
+  inference_.RunComplete(2, &result);
+  const ObjectEstimate* estimate = result.Find(slot, newcomer);
+  ASSERT_NE(estimate, nullptr);
+  EXPECT_EQ(estimate->object, newcomer);
+  EXPECT_EQ(estimate->location, 8);
+  EXPECT_EQ(result.Find(slot, kItem), nullptr);
+}
+
+TEST(ConflictTest, ARetiredEstimateIsNeitherFoundNorResolved) {
+  // A retired child keeps its estimate (a tombstone) but no rule touches it.
+  InferenceResult result;
+  Put(&result, MakeEstimate(kCaseA, 7, kNoObject, true));
+  Put(&result, MakeEstimate(kItem, 5, kCaseA, false));
+  ASSERT_NE(result.Retire(SlotOf(kItem), kItem), nullptr);
+  EXPECT_EQ(result.Retire(SlotOf(kItem), kItem), nullptr);  // Once only.
+  ConflictStats stats = ResolveConflicts(&result);
+  EXPECT_EQ(stats.children_overridden, 0u);
+  EXPECT_EQ(result.Find(kItem), nullptr);
+  EXPECT_EQ(result.Find(SlotOf(kItem), kItem), nullptr);
+  const InferenceResult::Entry& child =
+      result.entries()[result.IndexOf(SlotOf(kItem))];
+  EXPECT_TRUE(child.retired);
+  EXPECT_EQ(child.estimate.location, 5);
+
+  // A retired container resolves nothing against its children.
+  InferenceResult parent_gone;
+  Put(&parent_gone, MakeEstimate(kCaseA, 7, kNoObject, true));
+  Put(&parent_gone, MakeEstimate(kItem, 5, kCaseA, false));
+  ASSERT_NE(parent_gone.Retire(SlotOf(kCaseA), kCaseA), nullptr);
+  stats = ResolveConflicts(&parent_gone);
+  EXPECT_EQ(stats.children_overridden, 0u);
+  EXPECT_EQ(At(parent_gone, kItem).location, 5);
+}
+
+TEST(ConflictTest, RuleIIClearsTheContainerSlotWithTheContainer) {
+  InferenceResult result;
+  ObjectId i1 = Obj(PackagingLevel::kItem, 10);
+  ObjectId i2 = Obj(PackagingLevel::kItem, 11);
+  ObjectId i3 = Obj(PackagingLevel::kItem, 12);
+  Put(&result, MakeEstimate(kCaseA, 3, kNoObject, false));
+  Put(&result, MakeEstimate(i1, 7, kCaseA, true));
+  Put(&result, MakeEstimate(i2, 7, kCaseA, true));
+  Put(&result, MakeEstimate(i3, 3, kCaseA, true));
+  ResolveConflicts(&result);
+  auto entry = [&](ObjectId id) -> const InferenceResult::Entry& {
+    return result.entries()[result.IndexOf(SlotOf(id))];
+  };
+  EXPECT_EQ(entry(i3).estimate.container, kNoObject);
+  EXPECT_EQ(entry(i3).container_slot, kNoNode);
+  EXPECT_EQ(entry(i1).container_slot, SlotOf(kCaseA));
+}
+
+TEST(ConflictTest, AResolverReusedAcrossResultsOfDifferentSizes) {
+  // The pipeline's resolver keeps its index lists between epochs; a large
+  // result followed by a small one resolves the small one as a fresh
+  // resolver would.
+  ConflictResolver resolver;
+  InferenceResult large;
+  Put(&large, MakeEstimate(kCaseA, 3, kNoObject, false));
+  for (std::uint32_t serial = 10; serial < 40; ++serial) {
+    const ObjectId item = Obj(PackagingLevel::kItem, serial);
+    Put(&large, MakeEstimate(item, serial < 30 ? 7 : 3, kCaseA, true));
+  }
+  ConflictStats stats = resolver.Resolve(&large);
+  EXPECT_EQ(stats.parents_repositioned, 1u);
+  EXPECT_EQ(stats.containments_ended, 10u);
+
+  InferenceResult small;
+  Put(&small, MakeEstimate(kCaseA, 7, kNoObject, true));
+  Put(&small, MakeEstimate(kItem, 5, kCaseA, false));
+  stats = resolver.Resolve(&small);
+  EXPECT_EQ(stats.children_overridden, 1u);
+  EXPECT_EQ(stats.parents_repositioned, 0u);
+  EXPECT_EQ(At(small, kItem).location, 7);
 }
 
 }  // namespace

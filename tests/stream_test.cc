@@ -1,6 +1,9 @@
 // Unit tests for src/stream: reader registry, deduplication, epoch batching.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "common/epc.h"
 #include "stream/dedup.h"
 #include "stream/epoch_stream.h"
@@ -226,6 +229,50 @@ TEST(DedupTest, ManyDuplicatesOneSurvivor) {
   EXPECT_EQ(readings[0].tick, 49);
 }
 
+TEST(DedupTest, TableReusedAcrossEpochsOfDifferentSizes) {
+  // One Deduplicator over epochs that grow, burst and shrink: every epoch
+  // must match a from-scratch reading of the rule (highest tick, later
+  // arrival on a tie, survivors in arrival order), whatever the table
+  // held before — and a burst's table must not stay resident.
+  Deduplicator deduplicator;
+  std::mt19937 rng(11);
+  const std::size_t sizes[] = {0, 1, 2, 40, 3000, 5, 0, 700, 3, 3000, 64, 1};
+  Epoch epoch = 0;
+  for (std::size_t size : sizes) {
+    ++epoch;
+    EpochReadings readings;
+    const std::uint32_t tags = 1 + static_cast<std::uint32_t>(size / 3);
+    for (std::size_t i = 0; i < size; ++i) {
+      readings.push_back(MakeReading(static_cast<std::uint32_t>(rng() % tags),
+                                     static_cast<ReaderId>(rng() % 4), epoch,
+                                     static_cast<std::uint16_t>(rng() % 3)));
+    }
+    // The rule, by brute force: a reading survives iff no later reading of
+    // its tag has a tick at least as high, and no earlier one a higher.
+    EpochReadings expected;
+    for (std::size_t i = 0; i < readings.size(); ++i) {
+      bool wins = true;
+      for (std::size_t j = 0; j < readings.size() && wins; ++j) {
+        if (j == i || readings[j].tag != readings[i].tag) continue;
+        if (j > i ? readings[j].tick >= readings[i].tick
+                  : readings[j].tick > readings[i].tick) {
+          wins = false;
+        }
+      }
+      if (wins) expected.push_back(readings[i]);
+    }
+    const DedupStats stats = deduplicator.Run(&readings);
+    EXPECT_EQ(readings, expected) << "epoch of " << size;
+    EXPECT_EQ(stats.input_readings, size);
+    EXPECT_EQ(stats.duplicates_dropped, size - expected.size());
+    if (size > 1) {
+      EXPECT_GE(deduplicator.table_size(), 2 * size);
+      EXPECT_LE(deduplicator.table_size(),
+                4 * std::max<std::size_t>(16, 4 * size));
+    }
+  }
+}
+
 // --------------------------------------------------------- GroupByReader --
 
 TEST(GroupByReaderTest, GroupsInFirstAppearanceOrder) {
@@ -264,6 +311,31 @@ TEST(GroupByReaderTest, TagOrderWithinReaderPreserved) {
   EXPECT_EQ(batch.per_reader[0].tags[0], Tag(5));
   EXPECT_EQ(batch.per_reader[0].tags[1], Tag(4));
   EXPECT_EQ(batch.per_reader[0].tags[2], Tag(6));
+}
+
+TEST(GroupByReaderTest, GrouperReusedAcrossEpochsMatchesOneOffGrouping) {
+  // One EpochGrouper over epochs whose reader sets grow, change and
+  // shrink: each batch equals the one-off grouping of the same readings.
+  EpochGrouper grouper;
+  std::mt19937 rng(5);
+  const std::size_t sizes[] = {6, 0, 40, 3, 200, 1, 17};
+  Epoch epoch = 0;
+  for (std::size_t size : sizes) {
+    ++epoch;
+    EpochReadings readings;
+    for (std::size_t i = 0; i < size; ++i) {
+      readings.push_back(MakeReading(static_cast<std::uint32_t>(i),
+                                     static_cast<ReaderId>(rng() % 9), epoch));
+    }
+    const EpochBatch expected = GroupByReader(readings, epoch);
+    const EpochBatch& batch = grouper.Group(readings, epoch);
+    EXPECT_EQ(batch.epoch, epoch);
+    ASSERT_EQ(batch.per_reader.size(), expected.per_reader.size());
+    for (std::size_t r = 0; r < batch.per_reader.size(); ++r) {
+      EXPECT_EQ(batch.per_reader[r].reader, expected.per_reader[r].reader);
+      EXPECT_EQ(batch.per_reader[r].tags, expected.per_reader[r].tags);
+    }
+  }
 }
 
 }  // namespace
