@@ -6,16 +6,17 @@
 // noon?") arriving over time, each too small to justify decoding and
 // folding the whole segment. The baseline is what the repo could do before
 // this subsystem — EventLog::FromArchive per request; the contender is
-// SegmentLog, which binary-searches the `.spix` posting lists, decodes only
-// candidate blocks through a sharded LRU BlockCache, and folds only the
-// query's slice.
+// SegmentLog, which folds each key's `.spix` posting blocks once into a
+// stay entry of its BlockCache and answers every later query on that key
+// from the entry.
 //
 // Reports, for a level-2 warehouse trace archived with the bitpack codec:
 //   - per-request rate of the FromArchive-per-request baseline (sampled —
 //     it is far too slow to run the full workload);
 //   - cold-cache segment-direct rate (every candidate block decoded once);
 //   - warm-cache rates at 1 / 2 / 4 threads over one shared SegmentLog and
-//     cache (per-shard locking is the scaling claim under test);
+//     cache (its sharded locks under one budget are the scaling claim
+//     under test);
 //   - the warm-cache speedup over the baseline — must be
 //     >= kWarmSpeedupFloor x, asserted hard, and written to
 //     BENCH_query.json for tools/bench_compare.py to track.
@@ -451,11 +452,16 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(stats.misses));
     return 1;
   }
-  std::printf("cache: %llu lookups, %llu hits, %llu misses, %llu evictions, "
+  std::printf("cache: %llu lookups, %llu hits (%llu stay, %llu block), "
+              "%llu misses (%llu stay, %llu block), %llu evictions, "
               "%llu blocks decoded (counters reconcile)\n\n",
               static_cast<unsigned long long>(stats.lookups),
               static_cast<unsigned long long>(stats.hits),
+              static_cast<unsigned long long>(stats.stay_hits),
+              static_cast<unsigned long long>(stats.block_hits),
               static_cast<unsigned long long>(stats.misses),
+              static_cast<unsigned long long>(stats.stay_misses),
+              static_cast<unsigned long long>(stats.block_misses),
               static_cast<unsigned long long>(stats.evictions),
               static_cast<unsigned long long>(
                   cold_log.value()->blocks_decoded()));

@@ -387,15 +387,22 @@ std::optional<OracleFailure> DifferentialChecker::CheckQueryEquivalence(
     return fail("archive close failed: " + status.ToString());
   }
 
+  // Two legs answer every probe: through the tiny cache, whose entries
+  // fold each key's whole posting list, and uncached, where each point
+  // query folds only the posting blocks up to its epoch cut.
   auto cache = std::make_shared<BlockCache>(32 * 1024);
-  auto segment_log = SegmentLog::Open(path, ReaderOptions{}, cache);
-  if (!segment_log.ok()) {
-    return fail("segment log open failed: " +
-                segment_log.status().ToString());
+  auto cached_log = SegmentLog::Open(path, ReaderOptions{}, cache);
+  if (!cached_log.ok()) {
+    return fail("segment log open failed: " + cached_log.status().ToString());
   }
-  const SegmentLog& direct = *segment_log.value();
+  auto uncached_log = SegmentLog::Open(path);
+  if (!uncached_log.ok()) {
+    return fail("uncached segment log open failed: " +
+                uncached_log.status().ToString());
+  }
+  const SegmentLog& cached = *cached_log.value();
   auto materialized =
-      EventLog::FromArchive(direct.reader(), 0, kInfiniteEpoch, false);
+      EventLog::FromArchive(cached.reader(), 0, kInfiniteEpoch, false);
   if (!materialized.ok()) {
     return fail("materialized baseline failed: " +
                 materialized.status().ToString());
@@ -405,7 +412,7 @@ std::optional<OracleFailure> DifferentialChecker::CheckQueryEquivalence(
   const std::vector<ObjectId> objects = log.Objects();
   std::vector<LocationId> locations;
   for (const auto& [location, blocks] :
-       direct.reader().location_postings()) {
+       cached.reader().location_postings()) {
     locations.push_back(location);
   }
   if (objects.empty()) {
@@ -413,27 +420,14 @@ std::optional<OracleFailure> DifferentialChecker::CheckQueryEquivalence(
     return std::nullopt;  // Nothing archived; nothing to probe.
   }
 
-  // Deterministic probes at random (object, epoch) points, plus the edge
-  // epochs where coverage flips: before the stream, at the first and last
-  // epochs, and just past the end.
-  Pcg32 rng(0x517e'91ull ^ stream.size());
-  std::vector<Epoch> probe_epochs = {-1, 0, log.first_epoch(),
-                                     log.last_epoch(),
-                                     log.last_epoch() + 1};
-  for (int i = 0; i < 24; ++i) {
-    probe_epochs.push_back(
-        rng.NextInRange(log.first_epoch(), log.last_epoch() + 1));
-  }
-
-  for (int probe = 0; probe < 64; ++probe) {
-    const ObjectId object = objects[rng.NextBounded(
-        static_cast<std::uint32_t>(objects.size()))];
-    const Epoch epoch =
-        probe_epochs[rng.NextBounded(
-            static_cast<std::uint32_t>(probe_epochs.size()))];
-    const std::string at = " object=" + std::to_string(object) +
+  // One probe through one leg: every kind at (object, epoch), and
+  // ObjectsAt at `location` when the archive has locations.
+  auto probe_leg = [&](const SegmentLog& direct, const std::string& leg,
+                       ObjectId object, Epoch epoch,
+                       std::optional<LocationId> location)
+      -> std::optional<OracleFailure> {
+    const std::string at = " (" + leg + ") object=" + std::to_string(object) +
                            " epoch=" + std::to_string(epoch);
-
     auto location_at = direct.LocationAt(object, epoch);
     if (!location_at.ok()) {
       return fail("LocationAt failed: " + location_at.status().ToString());
@@ -477,20 +471,51 @@ std::optional<OracleFailure> DifferentialChecker::CheckQueryEquivalence(
                     IdsToString(log.ContentsAt(object, epoch, transitive)));
       }
     }
-    if (!locations.empty()) {
-      const LocationId location = locations[rng.NextBounded(
-          static_cast<std::uint32_t>(locations.size()))];
-      auto objects_at = direct.ObjectsAt(location, epoch);
+    if (location.has_value()) {
+      auto objects_at = direct.ObjectsAt(*location, epoch);
       if (!objects_at.ok()) {
         return fail("ObjectsAt failed: " + objects_at.status().ToString());
       }
-      if (objects_at.value() != log.ObjectsAt(location, epoch)) {
-        return fail("ObjectsAt diverges at location=" +
-                    std::to_string(location) + " epoch=" +
+      if (objects_at.value() != log.ObjectsAt(*location, epoch)) {
+        return fail("ObjectsAt diverges (" + leg + ") at location=" +
+                    std::to_string(*location) + " epoch=" +
                     std::to_string(epoch) + ": direct " +
                     IdsToString(objects_at.value()) + " vs materialized " +
-                    IdsToString(log.ObjectsAt(location, epoch)));
+                    IdsToString(log.ObjectsAt(*location, epoch)));
       }
+    }
+    return std::nullopt;
+  };
+
+  // Deterministic probes at random (object, epoch) points, plus the edge
+  // epochs where coverage flips: before the stream, at the first and last
+  // epochs, and just past the end.
+  Pcg32 rng(0x517e'91ull ^ stream.size());
+  std::vector<Epoch> probe_epochs = {-1, 0, log.first_epoch(),
+                                     log.last_epoch(),
+                                     log.last_epoch() + 1};
+  for (int i = 0; i < 24; ++i) {
+    probe_epochs.push_back(
+        rng.NextInRange(log.first_epoch(), log.last_epoch() + 1));
+  }
+
+  for (int probe = 0; probe < 64; ++probe) {
+    const ObjectId object = objects[rng.NextBounded(
+        static_cast<std::uint32_t>(objects.size()))];
+    const Epoch epoch =
+        probe_epochs[rng.NextBounded(
+            static_cast<std::uint32_t>(probe_epochs.size()))];
+    std::optional<LocationId> location;
+    if (!locations.empty()) {
+      location = locations[rng.NextBounded(
+          static_cast<std::uint32_t>(locations.size()))];
+    }
+    if (auto failure = probe_leg(cached, "cached", object, epoch, location)) {
+      return failure;
+    }
+    if (auto failure = probe_leg(*uncached_log.value(), "uncached", object,
+                                 epoch, location)) {
+      return failure;
     }
   }
 
@@ -499,7 +524,7 @@ std::optional<OracleFailure> DifferentialChecker::CheckQueryEquivalence(
   if (stats.hits + stats.misses != stats.lookups) {
     return fail("cache counters do not reconcile: hits + misses != lookups");
   }
-  if (direct.blocks_decoded() > stats.misses) {
+  if (cached.blocks_decoded() > stats.misses) {
     return fail("cache counters do not reconcile: decodes > misses");
   }
   cleanup();

@@ -45,8 +45,10 @@
 //                          every query kind — LocationAt / ContainerAt /
 //                          ContentsAt / ObjectsAt / TrajectoryOf /
 //                          IsMissingAt — identically to the fully
-//                          materialized EventLog, and the block-cache
-//                          counters reconcile (hits + misses == lookups,
+//                          materialized EventLog, both through a tiny
+//                          cache (whole-list stay entries) and uncached
+//                          (the epoch-cut fold), and the cache counters
+//                          reconcile (hits + misses == lookups,
 //                          decodes <= misses).
 //
 // The default level-2 run also asserts the handover invariant after every
@@ -159,9 +161,9 @@ class DifferentialChecker {
       const EventStream& stream, const std::string& label) const;
   /// Archives `stream` to scratch and probes it at random and edge
   /// (object, epoch) points: segment-direct answers (query/segment_log,
-  /// through a deliberately tiny block cache) must equal the materialized
-  /// EventLog's for every query kind, and the cache counters must
-  /// reconcile with the decode count.
+  /// through a deliberately tiny cache and again uncached) must equal the
+  /// materialized EventLog's for every query kind, and the cache counters
+  /// must reconcile with the decode count.
   std::optional<OracleFailure> CheckQueryEquivalence(
       const EventStream& stream, const std::string& label) const;
 

@@ -1,7 +1,5 @@
 #include "query/block_cache.h"
 
-#include <atomic>
-
 #include "obs/registry.h"
 
 namespace spire {
@@ -11,6 +9,10 @@ namespace {
 struct Instruments {
   obs::Counter* cache_hits;
   obs::Counter* cache_misses;
+  obs::Counter* cache_stay_hits;
+  obs::Counter* cache_stay_misses;
+  obs::Counter* cache_block_hits;
+  obs::Counter* cache_block_misses;
   obs::Counter* cache_evictions;
   obs::Gauge* cache_bytes;
 };
@@ -21,87 +23,152 @@ const Instruments* GetInstruments() {
   static const Instruments instruments{
       registry.GetCounter("query", "cache_hits"),
       registry.GetCounter("query", "cache_misses"),
+      registry.GetCounter("query", "cache_stay_hits"),
+      registry.GetCounter("query", "cache_stay_misses"),
+      registry.GetCounter("query", "cache_block_hits"),
+      registry.GetCounter("query", "cache_block_misses"),
       registry.GetCounter("query", "cache_evictions"),
       registry.GetGauge("query", "cache_bytes"),
   };
   return &instruments;
 }
 
-std::uint64_t KeyOf(std::uint64_t segment_tag, std::uint32_t block_index) {
-  return (segment_tag << 32) | block_index;
-}
-
-std::uint64_t CostOf(const EventStream& block) {
-  return block.size() * sizeof(Event) + BlockCache::kEntryOverheadBytes;
-}
-
 }  // namespace
 
-BlockCache::BlockCache(std::uint64_t capacity_bytes, std::size_t num_shards)
+std::size_t BlockCache::KeyHash::operator()(const Key& key) const {
+  const std::uint64_t mixed = (key.id * 0x9E3779B97F4A7C15ull) ^
+                              (((key.tag << 2) | key.kind) *
+                               0xC2B2AE3D27D4EB4Full);
+  return static_cast<std::size_t>(mixed ^ (mixed >> 32));
+}
+
+BlockCache::BlockCache(std::uint64_t capacity_bytes)
     : capacity_bytes_(capacity_bytes) {
-  if (num_shards == 0) num_shards = 1;
-  shard_capacity_ = capacity_bytes / num_shards;
-  shards_.reserve(num_shards);
-  for (std::size_t i = 0; i < num_shards; ++i) {
+  shards_.reserve(kShards);
+  for (std::size_t i = 0; i < kShards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
 }
 
-BlockCache::Shard& BlockCache::ShardFor(std::uint64_t key) {
-  // Fibonacci hashing spreads both the tag and block-index bits, so
-  // consecutive blocks of one segment land on different shards.
-  const std::uint64_t mixed = key * 0x9E3779B97F4A7C15ull;
-  return *shards_[(mixed >> 32) % shards_.size()];
+BlockCache::Shard& BlockCache::ShardFor(const Key& key) {
+  // The high bits: the index's buckets use the low ones.
+  return *shards_[(KeyHash{}(key) >> 40) % kShards];
+}
+
+std::shared_ptr<const void> BlockCache::Lookup(const Key& key) {
+  const bool block = key.kind == kBlockKind;
+  Shard& shard = ShardFor(key);
+  std::shared_ptr<const void> value;
+  {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    auto it = shard.entries.find(key);
+    if (it != shard.entries.end()) {
+      value = it->second.value;
+      if (!block) {
+        it->second.slot->tick =
+            clock_.fetch_add(1, std::memory_order_relaxed) + 1;
+        shard.order.splice(shard.order.begin(), shard.order, it->second.slot);
+        shard.lowest_tick.store(shard.order.back().tick,
+                                std::memory_order_relaxed);
+      }
+    }
+    ++(block ? (value ? shard.block_hits : shard.block_misses)
+             : (value ? shard.stay_hits : shard.stay_misses));
+  }
+  if (const Instruments* instruments = GetInstruments()) {
+    (value ? instruments->cache_hits : instruments->cache_misses)->Add(1);
+    (block ? (value ? instruments->cache_block_hits
+                    : instruments->cache_block_misses)
+           : (value ? instruments->cache_stay_hits
+                    : instruments->cache_stay_misses))
+        ->Add(1);
+  }
+  return value;
+}
+
+bool BlockCache::EvictOne() {
+  while (true) {
+    Shard* victim_shard = nullptr;
+    std::int64_t lowest = kNoTick;
+    for (const auto& shard : shards_) {
+      const std::int64_t tick =
+          shard->lowest_tick.load(std::memory_order_relaxed);
+      if (tick < lowest) {
+        lowest = tick;
+        victim_shard = shard.get();
+      }
+    }
+    if (victim_shard == nullptr) return false;
+    std::shared_ptr<const void> victim_value;  // Released after the lock.
+    std::uint64_t cost = 0;
+    {
+      std::lock_guard<std::mutex> lock(victim_shard->mutex);
+      // Another insert may have emptied the shard or evicted its oldest
+      // entry since the scan; then scan again.
+      if (victim_shard->order.empty() ||
+          victim_shard->order.back().tick != lowest) {
+        continue;
+      }
+      auto victim = victim_shard->entries.find(victim_shard->order.back().key);
+      cost = victim->second.cost;
+      victim_value = std::move(victim->second.value);
+      victim_shard->entries.erase(victim);
+      victim_shard->order.pop_back();
+      victim_shard->lowest_tick.store(victim_shard->order.empty()
+                                          ? kNoTick
+                                          : victim_shard->order.back().tick,
+                                      std::memory_order_relaxed);
+      ++victim_shard->evictions;
+      bytes_.fetch_sub(cost, std::memory_order_relaxed);
+    }
+    if (const Instruments* instruments = GetInstruments()) {
+      instruments->cache_bytes->Add(-static_cast<std::int64_t>(cost));
+      instruments->cache_evictions->Add(1);
+    }
+    return true;
+  }
+}
+
+void BlockCache::Insert(const Key& key, std::shared_ptr<const void> value,
+                        std::uint64_t payload_bytes) {
+  const std::uint64_t cost = payload_bytes + kEntryOverheadBytes;
+  // Make room first, so the entry being inserted is never the one
+  // evicted, even when it alone exceeds the budget.
+  while (bytes_.load(std::memory_order_relaxed) + cost > capacity_bytes_ &&
+         EvictOne()) {
+  }
+  Shard& shard = ShardFor(key);
+  {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    if (shard.entries.contains(key)) return;  // Lost a same-key miss race.
+    const std::int64_t tick =
+        clock_.fetch_add(1, std::memory_order_relaxed) + 1;
+    const auto slot =
+        key.kind == kBlockKind
+            ? shard.order.insert(shard.order.end(), Slot{key, -tick})
+            : shard.order.insert(shard.order.begin(), Slot{key, tick});
+    shard.entries.emplace(key, Entry{std::move(value), cost, slot});
+    shard.lowest_tick.store(shard.order.back().tick,
+                            std::memory_order_relaxed);
+    bytes_.fetch_add(cost, std::memory_order_relaxed);
+  }
+  if (const Instruments* instruments = GetInstruments()) {
+    instruments->cache_bytes->Add(static_cast<std::int64_t>(cost));
+  }
 }
 
 BlockCache::BlockPtr BlockCache::Get(std::uint64_t segment_tag,
                                      std::uint32_t block_index) {
-  const std::uint64_t key = KeyOf(segment_tag, block_index);
-  Shard& shard = ShardFor(key);
-  const Instruments* instruments = GetInstruments();
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  ++shard.lookups;
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) {
-    ++shard.misses;
-    if (instruments != nullptr) instruments->cache_misses->Add(1);
-    return nullptr;
-  }
-  ++shard.hits;
-  if (instruments != nullptr) instruments->cache_hits->Add(1);
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-  return it->second.block;
+  return std::static_pointer_cast<const EventStream>(
+      Lookup(Key{segment_tag, block_index, kBlockKind}));
 }
 
 void BlockCache::Put(std::uint64_t segment_tag, std::uint32_t block_index,
                      BlockPtr block) {
   if (block == nullptr) return;
-  const std::uint64_t key = KeyOf(segment_tag, block_index);
-  const std::uint64_t cost = CostOf(*block);
-  Shard& shard = ShardFor(key);
-  const Instruments* instruments = GetInstruments();
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  if (shard.entries.contains(key)) return;  // Lost a same-key miss race.
-  shard.lru.push_front(key);
-  shard.entries[key] = Entry{std::move(block), cost, shard.lru.begin()};
-  shard.bytes += cost;
-  if (instruments != nullptr) {
-    instruments->cache_bytes->Add(static_cast<std::int64_t>(cost));
-  }
-  // Evict from the cold end, but never the entry just inserted.
-  while (shard.bytes > shard_capacity_ && shard.entries.size() > 1) {
-    const std::uint64_t victim = shard.lru.back();
-    auto victim_it = shard.entries.find(victim);
-    shard.bytes -= victim_it->second.cost;
-    if (instruments != nullptr) {
-      instruments->cache_bytes->Add(
-          -static_cast<std::int64_t>(victim_it->second.cost));
-      instruments->cache_evictions->Add(1);
-    }
-    shard.entries.erase(victim_it);
-    shard.lru.pop_back();
-    ++shard.evictions;
-  }
+  const std::uint64_t payload_bytes = block->capacity() * sizeof(Event);
+  Insert(Key{segment_tag, block_index, kBlockKind}, std::move(block),
+         payload_bytes);
 }
 
 BlockCache::Stats BlockCache::GetStats() const {
@@ -109,12 +176,16 @@ BlockCache::Stats BlockCache::GetStats() const {
   stats.capacity_bytes = capacity_bytes_;
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    stats.lookups += shard->lookups;
-    stats.hits += shard->hits;
-    stats.misses += shard->misses;
+    stats.stay_hits += shard->stay_hits;
+    stats.stay_misses += shard->stay_misses;
+    stats.block_hits += shard->block_hits;
+    stats.block_misses += shard->block_misses;
     stats.evictions += shard->evictions;
-    stats.bytes += shard->bytes;
   }
+  stats.hits = stats.stay_hits + stats.block_hits;
+  stats.misses = stats.stay_misses + stats.block_misses;
+  stats.lookups = stats.hits + stats.misses;
+  stats.bytes = bytes_.load(std::memory_order_relaxed);
   return stats;
 }
 

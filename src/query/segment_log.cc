@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <span>
 
-#include "compress/fold.h"
 #include "obs/registry.h"
 
 namespace spire {
@@ -31,58 +30,42 @@ void CountQuery() {
   }
 }
 
-bool IsLocationKind(const Event& event) {
-  return !IsContainmentEvent(event.type);
-}
-
-/// SegmentLog's one-pass fold. Stays accumulate in a flat vector in the
-/// stream order of their opening events. An End closes its (object,
+/// The fold under every entry build. Stays accumulate in a flat vector in
+/// the stream order of their opening events. An End closes its (object,
 /// kind)'s open stay through an open index from (object, kind) to stay
 /// slot and removes that key, exactly as FoldEvents' ordered map does —
 /// but the index is an open-addressed table that holds only the stays
 /// open at the current event, so it stays small on long streams, and
 /// nothing is sorted. (A std::unordered_map index, one node allocation per
 /// Start, cost query_hot 9-21% of its throughput, median of 10 pairs.)
+template <typename Stay>
 class StayFold {
  public:
-  void Add(const Event& event) {
-    switch (event.type) {
-      case EventType::kStartLocation:
-      case EventType::kStartContainment: {
-        RangedEvent stay;
-        stay.type = event.type;
-        stay.object = event.object;
-        stay.location = event.location;
-        stay.container = event.container;
-        stay.start = event.start;
-        stay.end = kInfiniteEpoch;
-        // Like FoldEvents, a second Start replaces the open slot; the
-        // earlier stay then stays open.
-        Open(event.object, KindOf(event.type),
-             static_cast<std::uint32_t>(stays_.size()));
-        stays_.push_back(stay);
-        break;
-      }
-      case EventType::kEndLocation:
-      case EventType::kEndContainment: {
-        const std::uint32_t slot = Close(event.object, KindOf(event.type));
-        if (slot != kNoSlot) stays_[slot].end = event.end;
-        break;
-      }
-      case EventType::kMissing: {
-        RangedEvent report;
-        report.type = EventType::kMissing;
-        report.object = event.object;
-        report.location = event.location;
-        report.start = event.start;
-        report.end = event.end;
-        stays_.push_back(report);
-        break;
-      }
+  /// A Start: opens `stay` under (object, kind). Like FoldEvents, a second
+  /// Start replaces the open slot; the earlier stay then stays open.
+  void Open(ObjectId object, EventType type, const Stay& stay) {
+    const std::uint32_t kind = KindOf(type);
+    if (2 * (open_ + 1) > table_.size()) Grow();
+    Entry& entry = table_[Find(object, kind)];
+    if (entry.kind == 0) {
+      entry.object = object;
+      entry.kind = kind;
+      ++open_;
     }
+    entry.slot = static_cast<std::uint32_t>(stays_.size());
+    stays_.push_back(stay);
   }
 
-  std::vector<RangedEvent> Take() { return std::move(stays_); }
+  /// An End: closes (object, kind)'s open stay at `end`, if one is open.
+  void Close(ObjectId object, EventType type, Epoch end) {
+    const std::uint32_t slot = Remove(object, KindOf(type));
+    if (slot != kNoSlot) stays_[slot].end = end;
+  }
+
+  /// A report that opens and closes in one event (Missing).
+  void Append(const Stay& stay) { stays_.push_back(stay); }
+
+  std::vector<Stay> Take() { return std::move(stays_); }
 
  private:
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
@@ -114,19 +97,8 @@ class StayFold {
     return i;
   }
 
-  void Open(ObjectId object, std::uint32_t kind, std::uint32_t slot) {
-    if (2 * (open_ + 1) > table_.size()) Grow();
-    Entry& entry = table_[Find(object, kind)];
-    if (entry.kind == 0) {
-      entry.object = object;
-      entry.kind = kind;
-      ++open_;
-    }
-    entry.slot = slot;
-  }
-
   /// Removes the key and returns its stay's slot (kNoSlot when not open).
-  std::uint32_t Close(ObjectId object, std::uint32_t kind) {
+  std::uint32_t Remove(ObjectId object, std::uint32_t kind) {
     if (open_ == 0) return kNoSlot;
     std::size_t i = Find(object, kind);
     if (table_[i].kind == 0) return kNoSlot;
@@ -154,17 +126,107 @@ class StayFold {
     }
   }
 
-  std::vector<RangedEvent> stays_;
+  std::vector<Stay> stays_;
   std::vector<Entry> table_;
   std::size_t open_ = 0;  ///< Keys in the table.
 };
 
+}  // namespace
+
+/// One stay of an object entry: a location stay, a containment stay or a
+/// Missing report (its `type` is the opening event's).
+struct SegmentLog::ObjectStay {
+  Epoch start = kNeverEpoch;
+  Epoch end = kInfiniteEpoch;
+  ObjectId container = kNoObject;          ///< kStartContainment only.
+  LocationId location = kUnknownLocation;  ///< Location stays and reports.
+  EventType type = EventType::kStartLocation;
+};
+
+/// One stay of a location entry (the object at the location) or of a
+/// container entry (the object directly inside the container).
+struct SegmentLog::KeyStay {
+  ObjectId object = kNoObject;
+  Epoch start = kNeverEpoch;
+  Epoch end = kInfiniteEpoch;
+};
+
+namespace {
+
+/// Entry builders: which events of a posting block belong to the key, and
+/// how they fold. An object entry keeps every event of the object, in
+/// stream order; location and container entries keep the opened stays of
+/// their kind, sorted by end (`Finish`).
+template <typename ObjectStay>
+struct ObjectBuilder {
+  using Stay = ObjectStay;
+  ObjectId object;
+
+  void Add(const Event& event, StayFold<Stay>* fold) const {
+    if (event.object != object) return;
+    switch (event.type) {
+      case EventType::kStartLocation:
+        fold->Open(object, event.type,
+                   Stay{event.start, kInfiniteEpoch, kNoObject,
+                        event.location, event.type});
+        break;
+      case EventType::kStartContainment:
+        fold->Open(object, event.type,
+                   Stay{event.start, kInfiniteEpoch, event.container,
+                        kUnknownLocation, event.type});
+        break;
+      case EventType::kEndLocation:
+      case EventType::kEndContainment:
+        fold->Close(object, event.type, event.end);
+        break;
+      case EventType::kMissing:
+        fold->Append(Stay{event.start, event.end, kNoObject, event.location,
+                          event.type});
+        break;
+    }
+  }
+
+  static void Finish(std::vector<Stay>*) {}
+};
+
+/// Location entries (containment = false) and container entries
+/// (containment = true).
+template <typename KeyStay, bool containment>
+struct KeyBuilder {
+  using Stay = KeyStay;
+  std::uint64_t key;
+
+  void Add(const Event& event, StayFold<Stay>* fold) const {
+    if (IsContainmentEvent(event.type) != containment) return;
+    if ((containment ? event.container : event.location) != key) return;
+    switch (event.type) {
+      case EventType::kStartLocation:
+      case EventType::kStartContainment:
+        fold->Open(event.object, event.type,
+                   Stay{event.object, event.start, kInfiniteEpoch});
+        break;
+      case EventType::kEndLocation:
+      case EventType::kEndContainment:
+        fold->Close(event.object, event.type, event.end);
+        break;
+      case EventType::kMissing:  // ObjectsAt reads location stays only.
+        break;
+    }
+  }
+
+  static void Finish(std::vector<Stay>* stays) {
+    std::sort(stays->begin(), stays->end(),
+              [](const Stay& a, const Stay& b) { return a.end < b.end; });
+  }
+};
+
 /// The covering stay of `type` with the earliest start (at most one on
 /// well-formed streams), or null — CoveringStay over FoldEvents' order.
-const RangedEvent* EarliestCovering(const std::vector<RangedEvent>& stays,
-                                    EventType type, Epoch epoch) {
-  const RangedEvent* covering = nullptr;
-  for (const RangedEvent& stay : stays) {
+template <typename ObjectStay>
+const ObjectStay* EarliestCovering(const std::vector<ObjectStay>& stays,
+                                   EventType type, Epoch epoch) {
+  const ObjectStay* covering = nullptr;
+  for (const ObjectStay& stay : stays) {
     if (stay.type != type || !(stay.start <= epoch && epoch < stay.end)) {
       continue;
     }
@@ -173,14 +235,17 @@ const RangedEvent* EarliestCovering(const std::vector<RangedEvent>& stays,
   return covering;
 }
 
-/// The objects of the `type` stays covering `epoch`, ascending.
-std::vector<ObjectId> CoveringObjects(const std::vector<RangedEvent>& stays,
-                                      EventType type, Epoch epoch) {
+/// The objects of the stays covering `epoch`, ascending. The stays are
+/// sorted by end, so only those ending after `epoch` are read.
+template <typename KeyStay>
+std::vector<ObjectId> CoveringObjects(const std::vector<KeyStay>& stays,
+                                      Epoch epoch) {
+  auto open = std::partition_point(
+      stays.begin(), stays.end(),
+      [epoch](const KeyStay& stay) { return stay.end <= epoch; });
   std::vector<ObjectId> objects;
-  for (const RangedEvent& stay : stays) {
-    if (stay.type == type && stay.start <= epoch && epoch < stay.end) {
-      objects.push_back(stay.object);
-    }
+  for (; open != stays.end(); ++open) {
+    if (open->start <= epoch) objects.push_back(open->object);
   }
   std::sort(objects.begin(), objects.end());
   return objects;
@@ -229,9 +294,15 @@ Result<BlockCache::BlockPtr> SegmentLog::FetchBlock(
   return block;
 }
 
-template <typename Keep>
-Result<std::vector<RangedEvent>> SegmentLog::FoldPostings(
-    const std::vector<std::uint32_t>& postings, Epoch cut, Keep keep) const {
+template <typename Builder>
+Result<BlockCache::StaysPtr<typename Builder::Stay>> SegmentLog::StaysOf(
+    BlockCache::KeyKind kind, std::uint64_t id,
+    const std::vector<std::uint32_t>& postings, Epoch cut) const {
+  using Stay = typename Builder::Stay;
+  if (cache_ != nullptr) {
+    if (auto hit = cache_->GetStays<Stay>(segment_tag_, kind, id)) return hit;
+    cut = kInfiniteEpoch;  // An entry folds the whole list.
+  }
   const std::vector<BlockMeta>& blocks = reader_.blocks();
   auto below_cut = [&](std::uint32_t index) {
     return blocks[index].min_epoch <= cut;
@@ -245,46 +316,53 @@ Result<std::vector<RangedEvent>> SegmentLog::FoldPostings(
         std::partition_point(postings.begin(), postings.end(), below_cut) -
         postings.begin()));
   }
-  StayFold fold;
+  const Builder builder{id};
+  StayFold<Stay> fold;
   for (std::uint32_t index : candidates) {
     if (!monotone_min_epochs_ && !below_cut(index)) continue;
     auto block = FetchBlock(index);
     if (!block.ok()) return block.status();
-    for (const Event& event : *block.value()) {
-      if (keep(event)) fold.Add(event);
-    }
+    for (const Event& event : *block.value()) builder.Add(event, &fold);
   }
-  return fold.Take();
+  std::vector<Stay> stays = fold.Take();
+  Builder::Finish(&stays);
+  if (cache_ == nullptr) {
+    return std::make_shared<const std::vector<Stay>>(std::move(stays));
+  }
+  // The cache charges capacity, and push_back growth leaves up to half of
+  // it unused: trimmed, the three door entries of query_hot's archive fit
+  // beside the hot objects' instead of evicting them.
+  stays.shrink_to_fit();
+  return cache_->PutStays(segment_tag_, kind, id, std::move(stays));
+}
+
+Result<BlockCache::StaysPtr<SegmentLog::ObjectStay>> SegmentLog::ObjectStays(
+    ObjectId object, Epoch cut) const {
+  const std::vector<std::uint32_t>* postings =
+      reader_.PostingsForObject(object);
+  if (postings == nullptr) return BlockCache::StaysPtr<ObjectStay>();
+  return StaysOf<ObjectBuilder<ObjectStay>>(BlockCache::KeyKind::kObject,
+                                            object, *postings, cut);
 }
 
 Result<LocationId> SegmentLog::LocationAt(ObjectId object,
                                           Epoch epoch) const {
   CountQuery();
-  const std::vector<std::uint32_t>* postings =
-      reader_.PostingsForObject(object);
-  if (postings == nullptr) return kUnknownLocation;
-  auto stays = FoldPostings(*postings, epoch, [&](const Event& event) {
-    return event.object == object &&
-           (event.type == EventType::kStartLocation ||
-            event.type == EventType::kEndLocation);
-  });
+  auto stays = ObjectStays(object, epoch);
   if (!stays.ok()) return stays.status();
-  const RangedEvent* stay =
-      EarliestCovering(stays.value(), EventType::kStartLocation, epoch);
+  if (stays.value() == nullptr) return kUnknownLocation;
+  const ObjectStay* stay =
+      EarliestCovering(*stays.value(), EventType::kStartLocation, epoch);
   return stay == nullptr ? kUnknownLocation : stay->location;
 }
 
 Result<ObjectId> SegmentLog::ContainerAt(ObjectId object, Epoch epoch) const {
   CountQuery();
-  const std::vector<std::uint32_t>* postings =
-      reader_.PostingsForObject(object);
-  if (postings == nullptr) return kNoObject;
-  auto stays = FoldPostings(*postings, epoch, [&](const Event& event) {
-    return event.object == object && IsContainmentEvent(event.type);
-  });
+  auto stays = ObjectStays(object, epoch);
   if (!stays.ok()) return stays.status();
-  const RangedEvent* stay =
-      EarliestCovering(stays.value(), EventType::kStartContainment, epoch);
+  if (stays.value() == nullptr) return kNoObject;
+  const ObjectStay* stay =
+      EarliestCovering(*stays.value(), EventType::kStartContainment, epoch);
   return stay == nullptr ? kNoObject : stay->container;
 }
 
@@ -294,12 +372,10 @@ Status SegmentLog::AppendContents(ObjectId container, Epoch epoch,
   const std::vector<std::uint32_t>* postings =
       reader_.PostingsForContainer(container);
   if (postings == nullptr) return Status::OK();
-  auto stays = FoldPostings(*postings, epoch, [&](const Event& event) {
-    return IsContainmentEvent(event.type) && event.container == container;
-  });
+  auto stays = StaysOf<KeyBuilder<KeyStay, true>>(
+      BlockCache::KeyKind::kContainer, container, *postings, epoch);
   if (!stays.ok()) return stays.status();
-  const std::vector<ObjectId> direct =
-      CoveringObjects(stays.value(), EventType::kStartContainment, epoch);
+  const std::vector<ObjectId> direct = CoveringObjects(*stays.value(), epoch);
   out->insert(out->end(), direct.begin(), direct.end());
   if (!transitive) return Status::OK();
   for (ObjectId child : direct) {
@@ -335,27 +411,21 @@ Result<std::vector<ObjectId>> SegmentLog::ObjectsAt(LocationId location,
   const std::vector<std::uint32_t>* postings =
       reader_.PostingsForLocation(location);
   if (postings == nullptr) return std::vector<ObjectId>{};
-  auto stays = FoldPostings(*postings, epoch, [&](const Event& event) {
-    return IsLocationKind(event) && event.location == location;
-  });
+  auto stays = StaysOf<KeyBuilder<KeyStay, false>>(
+      BlockCache::KeyKind::kLocation, location, *postings, epoch);
   if (!stays.ok()) return stays.status();
-  return CoveringObjects(stays.value(), EventType::kStartLocation, epoch);
+  return CoveringObjects(*stays.value(), epoch);
 }
 
 Result<std::vector<Stay>> SegmentLog::TrajectoryOf(ObjectId object) const {
   CountQuery();
   std::vector<Stay> trajectory;
-  const std::vector<std::uint32_t>* postings =
-      reader_.PostingsForObject(object);
-  if (postings == nullptr) return trajectory;
   // Timeline query: no epoch cut — every posting block participates.
-  auto stays = FoldPostings(*postings, kInfiniteEpoch, [&](const Event& event) {
-    return event.object == object &&
-           (event.type == EventType::kStartLocation ||
-            event.type == EventType::kEndLocation);
-  });
+  auto stays = ObjectStays(object, kInfiniteEpoch);
   if (!stays.ok()) return stays.status();
-  for (const RangedEvent& folded : stays.value()) {
+  if (stays.value() == nullptr) return trajectory;
+  for (const ObjectStay& folded : *stays.value()) {
+    if (folded.type != EventType::kStartLocation) continue;
     Stay stay;
     stay.start = folded.start;
     stay.end = folded.end;
@@ -373,23 +443,17 @@ Result<std::vector<Stay>> SegmentLog::TrajectoryOf(ObjectId object) const {
 
 Result<bool> SegmentLog::IsMissingAt(ObjectId object, Epoch epoch) const {
   CountQuery();
-  const std::vector<std::uint32_t>* postings =
-      reader_.PostingsForObject(object);
-  if (postings == nullptr) return false;
-  // Missing reports close at the object's next location stay, so the fold
-  // needs both kinds of location events.
-  auto stays = FoldPostings(*postings, epoch, [&](const Event& event) {
-    return event.object == object && IsLocationKind(event);
-  });
+  auto stays = ObjectStays(object, epoch);
   if (!stays.ok()) return stays.status();
-  for (const RangedEvent& report : stays.value()) {
+  if (stays.value() == nullptr) return false;
+  for (const ObjectStay& report : *stays.value()) {
     if (report.type != EventType::kMissing || report.start > epoch) continue;
     // The report runs until the object's next sighting: the earliest
     // location stay starting at or after `since` (EventLog's closing rule).
-    // A sighting past the candidate prefix starts after `epoch`, so the
-    // answer at `epoch` is unchanged by the cut.
+    // An uncached fold stops at the epoch cut; a sighting past it starts
+    // after `epoch`, so the answer at `epoch` is unchanged.
     Epoch until = kInfiniteEpoch;
-    for (const RangedEvent& stay : stays.value()) {
+    for (const ObjectStay& stay : *stays.value()) {
       if (stay.type == EventType::kStartLocation &&
           stay.start >= report.start && stay.start < until) {
         until = stay.start;

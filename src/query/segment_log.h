@@ -3,30 +3,36 @@
 //
 // EventLog::FromArchive decodes every intersecting block and folds the whole
 // selection up front — fine for analytics, wasteful when millions of point
-// queries each need one object at one epoch. SegmentLog instead resolves
-// each query from the `.spix` sidecar indexes:
+// queries each need one object at one epoch. SegmentLog instead answers
+// each query from its key's folded stays, built from the `.spix` sidecar
+// indexes:
 //
 //   1. Look up the posting list for the query's key — per-object for
 //      LocationAt / ContainerAt / TrajectoryOf / IsMissingAt, per-location
-//      for ObjectsAt, per-container for ContentsAt (sidecar v3).
-//   2. For point queries at epoch t, cut the list to candidate blocks with
-//      min_epoch <= t. Blocks past the cut hold only events whose primary
-//      timestamps exceed t: suffix Starts open after t, and suffix Ends
-//      only *extend* stays past t — neither changes which stays cover t,
-//      so the prefix folds to the same answer as the full stream
-//      (binary-searched when block min-epochs are monotone, the compressor
-//      emission order; linearly filtered otherwise — same selection).
-//   3. Fetch only those blocks — through the shared BlockCache when one is
-//      attached, so hot blocks skip the codec entirely — and fold the
-//      query's key in one pass over them in place, holding each fetched
-//      block while its events are read: no copy of the selection, no
-//      ordered map, no sort of the folded stays. The fold pairs each End
-//      with its (object, kind)'s open Start exactly as compress/fold's
-//      FoldEvents does, through a per-call open-addressed index from
-//      (object, kind) to stay slot that holds only the open stays, and
-//      keeps the stays in stream order. Each kind reads its
-//      answer straight off them: ObjectsAt/ContentsAt collect and sort
-//      just the covering ids, TrajectoryOf keeps start order.
+//      for ObjectsAt, per-container for ContentsAt (sidecar v3). Unknown
+//      keys answer empty without touching the cache.
+//   2. With a BlockCache attached, look up the key's stay entry: the fold
+//      of its *whole* posting list, which answers every epoch. The four
+//      object kinds share one entry per object; ContentsAt reads the
+//      container's entry and ObjectsAt the location's compact one of
+//      (object, start, end). A miss folds the whole list (step 3) and
+//      inserts the entry. Without a cache, cut the list to the candidate
+//      blocks with min_epoch <= t for a point query at epoch t. Blocks past
+//      the cut hold only events whose primary timestamps exceed t: suffix
+//      Starts open after t, and suffix Ends only *extend* stays past t —
+//      neither changes which stays cover t, so the prefix folds to the
+//      same answer as the full stream (binary-searched when block
+//      min-epochs are monotone, the compressor emission order; linearly
+//      filtered otherwise — same selection).
+//   3. Fold the selected blocks — fetched through the cache when one is
+//      attached, so a block shared by several builds may skip the codec —
+//      in one pass, holding each fetched block while its events are read.
+//      The fold pairs each End with its (object, kind)'s open Start
+//      exactly as compress/fold's FoldEvents does, through a per-build
+//      open-addressed index from (object, kind) to stay slot that holds
+//      only the open stays. Object entries keep the stays in stream order;
+//      location and container entries are sorted by end, so a query at a
+//      recent epoch reads only the stays still open after it.
 //
 // Filtered folds are exact because archived streams are well-formed
 // (compress/well_formed): an End names its Start's location/container, so
@@ -34,13 +40,13 @@
 // keeps Start/End pairs together and the slice folds to the identical stays
 // the full fold would produce. Answers therefore equal EventLog's on the
 // archived (level-as-stored) stream — the `query_equivalence` oracle in
-// src/check enforces this on fuzzed traces, with FoldEvents (which
-// EventLog folds through) as the reference.
+// src/check enforces this on fuzzed traces, cached and uncached, with
+// FoldEvents (which EventLog folds through) as the reference.
 //
 // Thread safety: all queries are const and safe to call concurrently from
 // many threads over one SegmentLog (ArchiveReader's decode paths are
-// concurrent-safe; the cache takes per-shard locks; every fold's stays and
-// open index live in the call, never shared). Segments are immutable
+// concurrent-safe; the cache takes its lock; every build's fold lives in
+// the call, and entries are immutable once shared). Segments are immutable
 // after Close and `compact` replaces rather than rewrites, so an open
 // SegmentLog is a stable snapshot: cache keys carry a per-open segment tag,
 // never aliasing entries across a replaced file.
@@ -52,7 +58,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "compress/fold.h"
 #include "query/block_cache.h"
 #include "query/event_log.h"
 #include "store/archive_reader.h"
@@ -105,17 +110,27 @@ class SegmentLog {
   std::uint64_t segment_tag() const { return segment_tag_; }
 
  private:
+  /// Entry payloads, defined in the .cc: an object's stays, and the
+  /// (object, start, end) stays of a location or container.
+  struct ObjectStay;
+  struct KeyStay;
+
   SegmentLog(ArchiveReader reader, std::shared_ptr<BlockCache> cache);
 
   /// One decoded block, through the cache when attached.
   Result<BlockCache::BlockPtr> FetchBlock(std::uint32_t index) const;
 
-  /// The one-pass fold (step 3): the stays of the events passing `keep` in
-  /// the posting blocks with min_epoch <= cut (the candidates of step 2),
-  /// in the stream order of their opening events.
-  template <typename Keep>
-  Result<std::vector<RangedEvent>> FoldPostings(
-      const std::vector<std::uint32_t>& postings, Epoch cut, Keep keep) const;
+  /// The key's folded stays (steps 2-3): its cache entry, built on a miss
+  /// from the whole posting list, or without a cache the fold of the
+  /// posting blocks with min_epoch <= cut. `Builder` folds one event.
+  template <typename Builder>
+  Result<BlockCache::StaysPtr<typename Builder::Stay>> StaysOf(
+      BlockCache::KeyKind kind, std::uint64_t id,
+      const std::vector<std::uint32_t>& postings, Epoch cut) const;
+
+  /// The object's entry, or null when the sidecar does not know it.
+  Result<BlockCache::StaysPtr<ObjectStay>> ObjectStays(ObjectId object,
+                                                       Epoch cut) const;
 
   Status AppendContents(ObjectId container, Epoch epoch, bool transitive,
                         std::vector<ObjectId>* out,
@@ -125,7 +140,7 @@ class SegmentLog {
   std::shared_ptr<BlockCache> cache_;
   std::uint64_t segment_tag_ = 0;
   /// True when block min-epochs are non-decreasing in directory order —
-  /// then FoldPostings binary-searches instead of filtering.
+  /// then the uncached cut binary-searches instead of filtering.
   bool monotone_min_epochs_ = false;
   mutable std::atomic<std::uint64_t> blocks_decoded_{0};
 };

@@ -781,11 +781,16 @@ int RunQueryserve(const Options& args) {
               wall.count() > 0.0 ? total_queries / wall.count() : 0.0);
   if (cache != nullptr) {
     const BlockCache::Stats stats = cache->GetStats();
-    std::printf("cache: %llu lookups, %llu hits, %llu misses, %llu "
-                "evictions, %llu/%llu bytes; %llu blocks decoded\n",
+    std::printf("cache: %llu lookups, %llu hits (%llu stay, %llu block), "
+                "%llu misses (%llu stay, %llu block), %llu evictions, "
+                "%llu/%llu bytes; %llu blocks decoded\n",
                 static_cast<unsigned long long>(stats.lookups),
                 static_cast<unsigned long long>(stats.hits),
+                static_cast<unsigned long long>(stats.stay_hits),
+                static_cast<unsigned long long>(stats.block_hits),
                 static_cast<unsigned long long>(stats.misses),
+                static_cast<unsigned long long>(stats.stay_misses),
+                static_cast<unsigned long long>(stats.block_misses),
                 static_cast<unsigned long long>(stats.evictions),
                 static_cast<unsigned long long>(stats.bytes),
                 static_cast<unsigned long long>(stats.capacity_bytes),
@@ -1498,6 +1503,40 @@ int RunMergeTraces(const Options& args) {
   return 0;
 }
 
+/// A registry dump's query cache counters, when it has them: each hit and
+/// miss total equals the sum of its stay-entry and block-entry split.
+Status CheckQueryCacheSplit(const obs::JsonValue& modules) {
+  const obs::JsonValue* query = modules.Find("query");
+  const obs::JsonValue* counters =
+      query == nullptr ? nullptr : query->Find("counters");
+  if (counters == nullptr) return Status::OK();
+  for (const std::string outcome : {"hits", "misses"}) {
+    const obs::JsonValue* parts[] = {
+        counters->Find("cache_" + outcome),
+        counters->Find("cache_stay_" + outcome),
+        counters->Find("cache_block_" + outcome)};
+    if (parts[0] == nullptr && parts[1] == nullptr && parts[2] == nullptr) {
+      continue;
+    }
+    unsigned long long values[3] = {0, 0, 0};
+    for (int i = 0; i < 3; ++i) {
+      if (parts[i] == nullptr ||
+          parts[i]->type != obs::JsonValue::Type::kNumber ||
+          std::sscanf(parts[i]->text.c_str(), "%llu", &values[i]) != 1) {
+        return Status::InvalidArgument(
+            "query cache_" + outcome +
+            " needs numeric total, stay and block counters");
+      }
+    }
+    if (values[1] + values[2] != values[0]) {
+      return Status::InvalidArgument(
+          "query cache_stay_" + outcome + " + cache_block_" + outcome +
+          " != cache_" + outcome);
+    }
+  }
+  return Status::OK();
+}
+
 int RunObscheck(const Options& args) {
   const auto trace_path = args.String("trace");
   const auto metrics_path = args.String("metrics");
@@ -1606,6 +1645,10 @@ int RunObscheck(const Options& args) {
       shape = modules != nullptr
                   ? std::to_string(modules->object.size()) + " modules"
                   : std::string("no modules key");
+    }
+    if (modules != nullptr) {
+      Status split = CheckQueryCacheSplit(*modules);
+      if (!split.ok()) return FailText(metrics_path + ": " + split.message());
     }
     auto round_trip = obs::ParseJson(parsed.value().Serialize());
     if (!round_trip.ok()) return Fail(round_trip.status());
