@@ -18,13 +18,11 @@ using namespace spire;
 using namespace spire::bench;
 
 int main(int argc, char** argv) {
-  Config args = ParseArgs(argc, argv);
-  bool full = args.GetBool("full", false).value_or(false);
-  SimConfig sim = SweepConfig(full);
+  const Options args = ParseSimArgs(argc, argv, {BoolOption("full", false)});
+  SimConfig sim = SweepConfig(args.Bool("full"));
   sim.read_rate = 0.7;  // Noisy enough that every mechanism matters.
   sim.theft_interval = 200;
-  auto overridden = SimConfig::FromConfig(args, sim);
-  if (overridden.ok()) sim = overridden.value();
+  sim = ApplySimOverrides(args, sim);
 
   PrintHeader("Ablation: removing one mechanism at a time",
               "design choices of Sections IV-B/C/D/E (DESIGN.md)");

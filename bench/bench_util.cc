@@ -135,43 +135,6 @@ SimConfig SweepConfig(bool full) {
   return config;
 }
 
-Config ParseArgs(int argc, char** argv) {
-  auto config = Config::FromArgs(argc, argv);
-  if (!config.ok()) {
-    std::fprintf(stderr, "%s\nusage: %s [key=value ...]\n",
-                 config.status().ToString().c_str(), argv[0]);
-    std::exit(1);
-  }
-  return std::move(config).value();
-}
-
-Options ParseBenchOptions(int argc, char** argv,
-                          const std::vector<OptionSpec>& keys) {
-  std::vector<OptionSpec> table = keys;
-  for (OptionSpec& key : SimConfig::Keys()) table.push_back(std::move(key));
-  auto given = Config::FromArgs(argc, argv);
-  Result<Options> options =
-      given.ok() ? Options::Parse(table, given.value())
-                 : Result<Options>(given.status());
-  if (!options.ok()) {
-    std::string usage;
-    for (const OptionSpec& key : keys) usage += " [" + FormatOption(key) + "]";
-    std::fprintf(stderr, "%s\nusage: %s%s [<SimConfig key>=value ...]\n",
-                 options.status().ToString().c_str(), argv[0], usage.c_str());
-    std::exit(1);
-  }
-  return std::move(options).value();
-}
-
-SimConfig ApplySimOverrides(const Options& options, const SimConfig& base) {
-  auto config = SimConfig::FromConfig(options.given(), base);
-  if (!config.ok()) {
-    std::fprintf(stderr, "%s\n", config.status().ToString().c_str());
-    std::exit(1);
-  }
-  return config.value();
-}
-
 void PrintHeader(const std::string& title, const std::string& paper_ref) {
   std::printf("=== %s ===\n", title.c_str());
   std::printf("reproduces: %s\n\n", paper_ref.c_str());

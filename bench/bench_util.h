@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/config.h"
 #include "eval/accuracy.h"
 #include "eval/delay.h"
 #include "eval/event_accuracy.h"
@@ -78,21 +77,6 @@ SimConfig PaperOutputConfig(bool full);
 /// (PaperAccuracyConfig); the default is a 45-minute miniature that keeps
 /// the same structure so whole sweeps finish in seconds.
 SimConfig SweepConfig(bool full);
-
-/// Parses trailing `key=value` args; exits with a message on bad input.
-/// Recognizes `full=true` for paper-scale runs.
-Config ParseArgs(int argc, char** argv);
-
-/// Parses trailing `key=value` args against `keys` plus SimConfig::Keys()
-/// (Options::Parse); an unknown, malformed or out-of-range key exits with
-/// its name and the usage line. Apply the given SimConfig keys on top of
-/// the bench's own base config with ApplySimOverrides.
-Options ParseBenchOptions(int argc, char** argv,
-                          const std::vector<OptionSpec>& keys);
-
-/// `base` with the SimConfig keys `options` was given; exits with the
-/// reason when they fail SimConfig::Validate.
-SimConfig ApplySimOverrides(const Options& options, const SimConfig& base);
 
 /// Standard bench banner.
 void PrintHeader(const std::string& title, const std::string& paper_ref);

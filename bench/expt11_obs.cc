@@ -18,6 +18,7 @@
 //
 //   ./expt11_obs [full=true] [reps=N] [dist=false] [key=value ...]
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <filesystem>
 #include <vector>
@@ -134,14 +135,16 @@ double RunDistOnce(const serve::Workload& workload,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Config args = ParseArgs(argc, argv);
-  const bool full = args.GetBool("full", false).value_or(false);
+  // reps= defaults to 5, or 7 with full=true.
+  const Options args = ParseSimArgs(
+      argc, argv,
+      {BoolOption("full", false), IntOption("reps", 5, 1, INT_MAX),
+       BoolOption("dist", true)});
+  const bool full = args.Bool("full");
   const int reps =
-      static_cast<int>(args.GetInt("reps", full ? 7 : 5).value_or(5));
+      full && !args.Has("reps") ? 7 : static_cast<int>(args.Int("reps"));
 
-  SimConfig sim_config = SweepConfig(full);
-  auto overridden = SimConfig::FromConfig(args, sim_config);
-  if (overridden.ok()) sim_config = overridden.value();
+  const SimConfig sim_config = ApplySimOverrides(args, SweepConfig(full));
 
   const std::string trace_path =
       (std::filesystem::temp_directory_path() / "expt11_obs_trace.json")
@@ -183,7 +186,7 @@ int main(int argc, char** argv) {
   report.Add("traced_over_disabled",
              off > 0.0 ? Median(arms[2].seconds) / off : 0.0);
 
-  if (args.GetBool("dist", true).value_or(true)) {
+  if (args.Bool("dist")) {
     // Fleet leg: the same overhead question for the distributed runtime,
     // with the stats cadence at its maximum (a StatsReport per node per
     // epoch) and the tracer collecting cross-node handoff spans.

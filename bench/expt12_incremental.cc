@@ -95,8 +95,8 @@ Status RunWorkload(const SimConfig& sim_config, Epoch warmup, Epoch measure,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Config args = ParseArgs(argc, argv);
-  const bool full_mode = args.GetBool("full", false).value_or(false);
+  const Options args = ParseSimArgs(argc, argv, {BoolOption("full", false)});
+  const bool full_mode = args.Bool("full");
 
   // Stationary: the expt5 shape — the graph grows and parks.
   SimConfig stationary;
@@ -137,8 +137,7 @@ int main(int argc, char** argv) {
   for (auto& [name, config] :
        std::vector<std::pair<std::string, SimConfig>>{
            {"stationary", stationary}, {"churny", churny}}) {
-    auto overridden = SimConfig::FromConfig(args, config);
-    if (overridden.ok()) config = overridden.value();
+    config = ApplySimOverrides(args, config);
     WorkloadResult result;
     Status status = RunWorkload(config, warmup, measure, &result);
     if (!status.ok()) {

@@ -18,6 +18,7 @@
 //
 //   ./expt13_cep [full=true] [reps=N] [key=value ...]
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -55,13 +56,13 @@ void Check(const Status& status, const char* what) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Config args = ParseArgs(argc, argv);
-  bool full = args.GetBool("full", false).value_or(false);
-  int reps = static_cast<int>(args.GetInt("reps", 3).value_or(3));
-  SimConfig base = SweepConfig(full);
+  const Options args = ParseSimArgs(
+      argc, argv,
+      {BoolOption("full", false), IntOption("reps", 3, 1, INT_MAX)});
+  const int reps = static_cast<int>(args.Int("reps"));
+  SimConfig base = SweepConfig(args.Bool("full"));
   base.theft_interval = 300;  // Missing events so `theft` & co. fire.
-  auto overridden = SimConfig::FromConfig(args, base);
-  if (overridden.ok()) base = overridden.value();
+  base = ApplySimOverrides(args, base);
 
   PrintHeader("Expt 13: pattern detection on the compressed stream",
               "beyond the paper; cep/ subsystem (DESIGN.md §11)");

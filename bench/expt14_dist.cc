@@ -63,12 +63,11 @@ serve::SiteWorkload SimulateSite(SimConfig config, int site) {
 /// The no-hop leg: four independent sites, normalized as `spire_cli serve`
 /// does, run loopback at 1, 2 and 4 nodes. Fails unless every run is
 /// byte-identical to the serial reference.
-bool RunServeLeg(const Config& args, bool full, BenchReport* report) {
+bool RunServeLeg(const Options& args, bool full, BenchReport* report) {
   constexpr int kSites = 4;
   SimConfig sim_config = SweepConfig(full);
   sim_config.duration_epochs = full ? 5400 : 1200;
-  auto overridden = SimConfig::FromConfig(args, sim_config);
-  if (overridden.ok()) sim_config = overridden.value();
+  sim_config = ApplySimOverrides(args, sim_config);
 
   serve::Workload workload;
   for (int site = 0; site < kSites; ++site) {
@@ -132,11 +131,15 @@ bool RunServeLeg(const Config& args, bool full, BenchReport* report) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Config args = ParseArgs(argc, argv);
-  const bool full = args.GetBool("full", false).value_or(false);
-  const int sites = static_cast<int>(args.GetInt("sites", 3).value_or(3));
-  const auto duration =
-      args.GetInt("duration", full ? 2400 : 600).value_or(600);
+  // duration= defaults to 600, or 2400 with full=true.
+  const Options args = ParseSimArgs(
+      argc, argv,
+      {BoolOption("full", false), IntOptionOf("sites", 3),
+       IntOption("duration", 600)});
+  const bool full = args.Bool("full");
+  const int sites = static_cast<int>(args.Int("sites"));
+  const Epoch duration =
+      full && !args.Has("duration") ? 2400 : args.Int("duration");
 
   SimConfig sim_config = SweepConfig(full);
   sim_config.duration_epochs = duration;
@@ -144,8 +147,7 @@ int main(int argc, char** argv) {
   sim_config.transfer_sites = sites;
   sim_config.transfer_interval = full ? 240 : 90;
   sim_config.transfer_round_trips = 2;
-  auto overridden = SimConfig::FromConfig(args, sim_config);
-  if (overridden.ok()) sim_config = overridden.value();
+  sim_config = ApplySimOverrides(args, sim_config);
 
   PrintHeader("Expt 14: distributed serving throughput",
               "beyond the paper (src/dist scaling + handoffs)");

@@ -305,7 +305,7 @@ double ServeWorkload(const SegmentLog& log, const std::vector<Request>& requests
 
 int main(int argc, char** argv) {
   // requests= defaults to 20000, or 40000 with full=true.
-  const Options args = ParseBenchOptions(
+  const Options args = ParseSimArgs(
       argc, argv,
       {BoolOption("full", false), IntOption("block_events", 1024, /*min=*/1),
        IntOption("requests", 20000, /*min=*/1),

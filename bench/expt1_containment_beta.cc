@@ -29,11 +29,8 @@ double ContainmentError(const SimConfig& sim, double beta, bool adaptive,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Config args = ParseArgs(argc, argv);
-  bool full = args.GetBool("full", false).value_or(false);
-  SimConfig base = SweepConfig(full);
-  auto overridden = SimConfig::FromConfig(args, base);
-  if (overridden.ok()) base = overridden.value();
+  const Options args = ParseSimArgs(argc, argv, {BoolOption("full", false)});
+  SimConfig base = ApplySimOverrides(args, SweepConfig(args.Bool("full")));
 
   PrintHeader("Expt 1: containment inference vs beta",
               "Fig. 9(a); text on S and alpha (Section VI-B)");

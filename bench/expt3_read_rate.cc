@@ -13,11 +13,8 @@ using namespace spire;
 using namespace spire::bench;
 
 int main(int argc, char** argv) {
-  Config args = ParseArgs(argc, argv);
-  bool full = args.GetBool("full", false).value_or(false);
-  SimConfig base = SweepConfig(full);
-  auto overridden = SimConfig::FromConfig(args, base);
-  if (overridden.ok()) base = overridden.value();
+  const Options args = ParseSimArgs(argc, argv, {BoolOption("full", false)});
+  SimConfig base = ApplySimOverrides(args, SweepConfig(args.Bool("full")));
 
   PrintHeader("Expt 3: inference error vs read rate", "Fig. 9(d)");
 

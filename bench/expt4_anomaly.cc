@@ -139,12 +139,10 @@ void CheckTheftPatternAgreement(const EventStream& output,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Config args = ParseArgs(argc, argv);
-  bool full = args.GetBool("full", false).value_or(false);
-  SimConfig base = SweepConfig(full);
+  const Options args = ParseSimArgs(argc, argv, {BoolOption("full", false)});
+  SimConfig base = SweepConfig(args.Bool("full"));
   base.theft_interval = 100;
-  auto overridden = SimConfig::FromConfig(args, base);
-  if (overridden.ok()) base = overridden.value();
+  base = ApplySimOverrides(args, base);
 
   PrintHeader("Expt 4: anomaly detection vs theta",
               "Fig. 9(e) error rate, Fig. 9(f) detection delay");

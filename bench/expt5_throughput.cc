@@ -19,8 +19,8 @@ using namespace spire;
 using namespace spire::bench;
 
 int main(int argc, char** argv) {
-  Config args = ParseArgs(argc, argv);
-  bool full = args.GetBool("full", false).value_or(false);
+  const Options args = ParseSimArgs(argc, argv, {BoolOption("full", false)});
+  const bool full = args.Bool("full");
 
   SimConfig sim_config;
   // High-rate injection (paper: up to one pallet per 4 s) tuned so the
@@ -35,8 +35,7 @@ int main(int argc, char** argv) {
   sim_config.shelf_period = 60;
   sim_config.mean_shelf_stay = 1000000;  // Park: the graph only grows.
   sim_config.duration_epochs = 1000000;  // Bounded by the target list below.
-  auto overridden = SimConfig::FromConfig(args, sim_config);
-  if (overridden.ok()) sim_config = overridden.value();
+  sim_config = ApplySimOverrides(args, sim_config);
 
   std::vector<std::size_t> targets =
       full ? std::vector<std::size_t>{25000, 55000, 75000, 95000, 135000,

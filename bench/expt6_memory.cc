@@ -49,8 +49,8 @@ std::map<std::size_t, std::size_t> MemoryProfile(
 }  // namespace
 
 int main(int argc, char** argv) {
-  Config args = ParseArgs(argc, argv);
-  bool full = args.GetBool("full", false).value_or(false);
+  const Options args = ParseSimArgs(argc, argv, {BoolOption("full", false)});
+  const bool full = args.Bool("full");
 
   SimConfig sim_config;
   sim_config.pallet_interval = 8;
@@ -63,8 +63,7 @@ int main(int argc, char** argv) {
   sim_config.shelf_period = 60;
   sim_config.mean_shelf_stay = 1000000;
   sim_config.duration_epochs = 1000000;
-  auto overridden = SimConfig::FromConfig(args, sim_config);
-  if (overridden.ok()) sim_config = overridden.value();
+  sim_config = ApplySimOverrides(args, sim_config);
 
   std::vector<std::size_t> checkpoints =
       full ? std::vector<std::size_t>{25000, 50000, 75000, 100000, 125000,

@@ -14,11 +14,8 @@ using namespace spire;
 using namespace spire::bench;
 
 int main(int argc, char** argv) {
-  Config args = ParseArgs(argc, argv);
-  bool full = args.GetBool("full", false).value_or(false);
-  SimConfig base = PaperOutputConfig(full);
-  auto overridden = SimConfig::FromConfig(args, base);
-  if (overridden.ok()) base = overridden.value();
+  const Options args = ParseSimArgs(argc, argv, {BoolOption("full", false)});
+  SimConfig base = ApplySimOverrides(args, PaperOutputConfig(args.Bool("full")));
 
   PrintHeader("Expt 7: output event accuracy, SPIRE vs SMURF", "Fig. 11(a)");
 

@@ -20,11 +20,8 @@ using namespace spire;
 using namespace spire::bench;
 
 int main(int argc, char** argv) {
-  Config args = ParseArgs(argc, argv);
-  bool full = args.GetBool("full", false).value_or(false);
-  SimConfig base = PaperOutputConfig(full);
-  auto overridden = SimConfig::FromConfig(args, base);
-  if (overridden.ok()) base = overridden.value();
+  const Options args = ParseSimArgs(argc, argv, {BoolOption("full", false)});
+  SimConfig base = ApplySimOverrides(args, PaperOutputConfig(args.Bool("full")));
 
   PrintHeader("Expt 8: compression ratio vs read rate",
               "Fig. 11(b) location only; Fig. 11(c) with containment");

@@ -276,10 +276,9 @@ double BestSeedScanSeconds(const ArchiveReader& reader, int reps,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options args =
-      ParseBenchOptions(argc, argv,
-                        {BoolOption("full", false),
-                         IntOption("block_events", 4096, /*min=*/1)});
+  const Options args = ParseSimArgs(
+      argc, argv,
+      {BoolOption("full", false), IntOption("block_events", 4096, /*min=*/1)});
   const SimConfig base =
       ApplySimOverrides(args, PaperOutputConfig(args.Bool("full")));
   const std::size_t block_events =

@@ -14,13 +14,11 @@ using namespace spire;
 using namespace spire::bench;
 
 int main(int argc, char** argv) {
-  Config args = ParseArgs(argc, argv);
-  bool full = args.GetBool("full", false).value_or(false);
-  SimConfig base = SweepConfig(full);
+  const Options args = ParseSimArgs(argc, argv, {BoolOption("full", false)});
+  SimConfig base = SweepConfig(args.Bool("full"));
   base.theft_interval = 200;
   base.patrol_dwell = 8;
-  auto overridden = SimConfig::FromConfig(args, base);
-  if (overridden.ok()) base = overridden.value();
+  base = ApplySimOverrides(args, base);
 
   PrintHeader("Extension: a patrolling mobile reader over the shelves",
               "future work of Section VIII (mix of mobile and static readers)");

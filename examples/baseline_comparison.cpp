@@ -6,7 +6,6 @@
 //   ./baseline_comparison [key=value ...]    e.g. read_rate=0.6
 #include <cstdio>
 
-#include "common/config.h"
 #include "compress/decompress.h"
 #include "eval/event_accuracy.h"
 #include "eval/size_accounting.h"
@@ -18,7 +17,7 @@ using namespace spire;
 
 namespace {
 
-SimConfig ScenarioConfig(const Config& args) {
+SimConfig ScenarioConfig(const Options& args) {
   SimConfig config;
   config.duration_epochs = 3600;
   config.pallet_interval = 400;
@@ -26,23 +25,13 @@ SimConfig ScenarioConfig(const Config& args) {
   config.mean_shelf_stay = 1200;
   config.shelf_period = 60;
   config.read_rate = 0.7;
-  auto overridden = SimConfig::FromConfig(args, config);
-  if (!overridden.ok()) {
-    std::fprintf(stderr, "%s\n", overridden.status().ToString().c_str());
-    std::exit(1);
-  }
-  return overridden.value();
+  return ApplySimOverrides(args, config);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto args = Config::FromArgs(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.status().ToString().c_str());
-    return 1;
-  }
-  SimConfig sim_config = ScenarioConfig(args.value());
+  SimConfig sim_config = ScenarioConfig(ParseSimArgs(argc, argv));
 
   // Identical traces for both systems (same seed).
   auto spire_sim = WarehouseSimulator::Create(sim_config);

@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <map>
 
-#include "common/config.h"
 #include "compress/decompress.h"
 #include "compress/well_formed.h"
 #include "eval/event_accuracy.h"
@@ -38,23 +37,13 @@ LocationId LocationAt(const std::vector<RangedEvent>& folded, ObjectId object,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto args = Config::FromArgs(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.status().ToString().c_str());
-    return 1;
-  }
   SimConfig sim_config;
   sim_config.duration_epochs = 2400;
   sim_config.pallet_interval = 400;
   sim_config.items_per_case = 8;
   sim_config.mean_shelf_stay = 800;
   sim_config.shelf_period = 30;
-  auto overridden = SimConfig::FromConfig(args.value(), sim_config);
-  if (!overridden.ok()) {
-    std::fprintf(stderr, "%s\n", overridden.status().ToString().c_str());
-    return 1;
-  }
-  sim_config = overridden.value();
+  sim_config = ApplySimOverrides(ParseSimArgs(argc, argv), sim_config);
 
   auto sim = WarehouseSimulator::Create(sim_config);
   WarehouseSimulator& s = *sim.value();

@@ -4,7 +4,6 @@
 //   ./quickstart [key=value ...]     e.g. ./quickstart read_rate=0.7
 #include <cstdio>
 
-#include "common/config.h"
 #include "compress/decompress.h"
 #include "compress/well_formed.h"
 #include "eval/accuracy.h"
@@ -16,12 +15,6 @@
 using namespace spire;
 
 int main(int argc, char** argv) {
-  auto config = Config::FromArgs(argc, argv);
-  if (!config.ok()) {
-    std::fprintf(stderr, "%s\n", config.status().ToString().c_str());
-    return 1;
-  }
-
   // A 30-minute trace: one pallet (5 cases x 20 items) every 5 minutes,
   // 10-minute shelf stays, shelf readers once every 30 s, read rate 0.85.
   SimConfig sim_config;
@@ -29,12 +22,7 @@ int main(int argc, char** argv) {
   sim_config.pallet_interval = 300;
   sim_config.mean_shelf_stay = 600;
   sim_config.shelf_period = 30;
-  auto overridden = SimConfig::FromConfig(config.value(), sim_config);
-  if (!overridden.ok()) {
-    std::fprintf(stderr, "%s\n", overridden.status().ToString().c_str());
-    return 1;
-  }
-  sim_config = overridden.value();
+  sim_config = ApplySimOverrides(ParseSimArgs(argc, argv), sim_config);
 
   auto sim = WarehouseSimulator::Create(sim_config);
   if (!sim.ok()) {

@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <map>
 
-#include "common/config.h"
 #include "eval/delay.h"
 #include "sim/simulator.h"
 #include "spire/pipeline.h"
@@ -18,12 +17,6 @@
 using namespace spire;
 
 int main(int argc, char** argv) {
-  auto args = Config::FromArgs(argc, argv);
-  if (!args.ok()) {
-    std::fprintf(stderr, "%s\n", args.status().ToString().c_str());
-    return 1;
-  }
-
   SimConfig sim_config;
   sim_config.duration_epochs = 3600;
   sim_config.pallet_interval = 400;
@@ -31,12 +24,7 @@ int main(int argc, char** argv) {
   sim_config.mean_shelf_stay = 1200;
   sim_config.shelf_period = 30;
   sim_config.theft_interval = 300;  // One theft every 5 minutes.
-  auto overridden = SimConfig::FromConfig(args.value(), sim_config);
-  if (!overridden.ok()) {
-    std::fprintf(stderr, "%s\n", overridden.status().ToString().c_str());
-    return 1;
-  }
-  sim_config = overridden.value();
+  sim_config = ApplySimOverrides(ParseSimArgs(argc, argv), sim_config);
   // An object in transit legitimately resides nowhere; only a silence
   // longer than any transit plus a shelf period is alarming.
   const Epoch alarm_grace =

@@ -2,8 +2,10 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "common/config.h"
 
@@ -11,16 +13,19 @@ namespace spire {
 
 namespace {
 
-std::string U64Line(const char* key, std::uint64_t value) {
+std::string Line(const char* key, bool value) {
+  return std::string(key) + " = " + (value ? "true" : "false");
+}
+
+std::string Line(const char* key, double value) {
   char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%s = %" PRIu64, key, value);
+  std::snprintf(buffer, sizeof buffer, "%s = %.17g", key, value);
   return buffer;
 }
 
-std::string I64Line(const char* key, std::int64_t value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%s = %" PRId64, key, value);
-  return buffer;
+template <typename Int>
+std::string Line(const char* key, Int value) {
+  return std::string(key) + " = " + std::to_string(value);
 }
 
 }  // namespace
@@ -38,41 +43,10 @@ std::vector<std::string> SerializeRepro(const FuzzCase& fuzz_case,
       lines.push_back("#   " + detail_line);
     }
   }
-  const SimConfig& sim = fuzz_case.sim;
-  lines.push_back(U64Line("seed", sim.seed));
-  lines.push_back(I64Line("duration_epochs", sim.duration_epochs));
-  lines.push_back(I64Line("pallet_interval", sim.pallet_interval));
-  lines.push_back(I64Line("min_cases_per_pallet", sim.min_cases_per_pallet));
-  lines.push_back(I64Line("max_cases_per_pallet", sim.max_cases_per_pallet));
-  lines.push_back(I64Line("items_per_case", sim.items_per_case));
-  {
-    char buffer[64];
-    std::snprintf(buffer, sizeof buffer, "read_rate = %.17g", sim.read_rate);
-    lines.push_back(buffer);
-  }
-  lines.push_back(
-      I64Line("nonshelf_ticks_per_epoch", sim.nonshelf_ticks_per_epoch));
-  lines.push_back(I64Line("shelf_period", sim.shelf_period));
-  lines.push_back(I64Line("num_shelves", sim.num_shelves));
-  lines.push_back(I64Line("mean_shelf_stay", sim.mean_shelf_stay));
-  lines.push_back(I64Line("entry_dwell", sim.entry_dwell));
-  lines.push_back(I64Line("belt_dwell", sim.belt_dwell));
-  lines.push_back(I64Line("packaging_dwell", sim.packaging_dwell));
-  lines.push_back(I64Line("exit_dwell", sim.exit_dwell));
-  lines.push_back(I64Line("packaging_timeout", sim.packaging_timeout));
-  lines.push_back(I64Line("transit_time", sim.transit_time));
-  lines.push_back(I64Line("theft_interval", sim.theft_interval));
-  lines.push_back(std::string("patrol_reader = ") +
-                  (sim.patrol_reader ? "true" : "false"));
-  lines.push_back(I64Line("patrol_dwell", sim.patrol_dwell));
-  lines.push_back(I64Line("transfer_sites", sim.transfer_sites));
-  lines.push_back(I64Line("transfer_interval", sim.transfer_interval));
-  lines.push_back(I64Line("transfer_dwell", sim.transfer_dwell));
-  lines.push_back(I64Line("transfer_transit", sim.transfer_transit));
-  lines.push_back(I64Line("transfer_round_trips", sim.transfer_round_trips));
-  lines.push_back(I64Line("transfer_cases", sim.transfer_cases));
-  lines.push_back(I64Line("transfer_items", sim.transfer_items));
-  lines.push_back(I64Line("max_epochs", fuzz_case.max_epochs));
+#define SPIRE_LINE(field) lines.push_back(Line(#field, fuzz_case.sim.field));
+  SPIRE_SIM_FIELDS(SPIRE_LINE)
+#undef SPIRE_LINE
+  lines.push_back(Line("max_epochs", fuzz_case.max_epochs));
   if (!fuzz_case.excluded_tags.empty()) {
     std::ostringstream tags;
     tags << "exclude_tags = ";
@@ -91,16 +65,17 @@ std::vector<std::string> SerializeRepro(const FuzzCase& fuzz_case,
 Result<FuzzCase> ParseRepro(const std::vector<std::string>& lines) {
   auto config = Config::FromLines(lines);
   if (!config.ok()) return config.status();
+  std::vector<OptionSpec> table = SimConfig::Keys();
+  table.push_back(IntOption("max_epochs", 0));
+  table.push_back(StringOption("exclude_tags"));
+  auto options = Options::Parse(table, config.value());
+  if (!options.ok()) return options.status();
   FuzzCase out;
-  auto sim = SimConfig::FromConfig(config.value(), SimConfig());
+  auto sim = SimConfig::FromOptions(options.value(), SimConfig());
   if (!sim.ok()) return sim.status();
   out.sim = sim.value();
-  auto max_epochs = config.value().GetInt("max_epochs", 0);
-  if (!max_epochs.ok()) return max_epochs.status();
-  out.max_epochs = max_epochs.value();
-  auto tags = config.value().GetString("exclude_tags", "");
-  if (!tags.ok()) return tags.status();
-  std::istringstream list(tags.value());
+  out.max_epochs = options.value().Int("max_epochs");
+  std::istringstream list(options.value().String("exclude_tags"));
   std::string token;
   while (std::getline(list, token, ',')) {
     if (token.empty()) continue;

@@ -59,53 +59,10 @@ bool Config::Has(const std::string& key) const {
   return values_.count(key) > 0;
 }
 
-Result<std::string> Config::GetString(const std::string& key,
-                                      const std::string& fallback) const {
+const std::string& Config::Text(const std::string& key) const {
+  static const std::string kAbsent;
   auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return it->second;
-}
-
-Result<std::int64_t> Config::GetInt(const std::string& key,
-                                    std::int64_t fallback) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  char* end = nullptr;
-  const char* begin = it->second.c_str();
-  errno = 0;
-  long long parsed = std::strtoll(begin, &end, 10);
-  if (end == begin || *end != '\0' || errno == ERANGE) {
-    return Status::InvalidArgument("config key '" + key +
-                                   "' is not an integer: " + it->second);
-  }
-  return static_cast<std::int64_t>(parsed);
-}
-
-Result<double> Config::GetDouble(const std::string& key,
-                                 double fallback) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  char* end = nullptr;
-  const char* begin = it->second.c_str();
-  errno = 0;
-  double parsed = std::strtod(begin, &end);
-  if (end == begin || *end != '\0' || errno == ERANGE) {
-    return Status::InvalidArgument("config key '" + key +
-                                   "' is not a number: " + it->second);
-  }
-  return parsed;
-}
-
-Result<bool> Config::GetBool(const std::string& key, bool fallback) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  std::string v = it->second;
-  std::transform(v.begin(), v.end(), v.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  return Status::InvalidArgument("config key '" + key +
-                                 "' is not a boolean: " + it->second);
+  return it == values_.end() ? kAbsent : it->second;
 }
 
 std::vector<std::string> Config::Keys() const {
@@ -133,6 +90,63 @@ std::string FormatOption(const OptionSpec& spec) {
   return text.str();
 }
 
+Result<OptionValue> ParseOptionValue(const OptionSpec& spec,
+                                     const std::string& text) {
+  const std::string& key = spec.name;
+  const char* begin = text.c_str();
+  char* end = nullptr;
+  errno = 0;
+  if (std::holds_alternative<std::int64_t>(spec.default_value)) {
+    const long long parsed = std::strtoll(begin, &end, 10);
+    const bool overflow = errno == ERANGE;
+    if (end == begin || *end != '\0') {
+      return Status::InvalidArgument("config key '" + key +
+                                     "' is not an integer: " + text);
+    }
+    if (parsed < spec.min || (overflow && parsed < 0)) {
+      return Status::InvalidArgument("config key '" + key + "' must be >= " +
+                                     std::to_string(spec.min) + ", got " +
+                                     text);
+    }
+    if (parsed > spec.max || overflow) {
+      return Status::InvalidArgument("config key '" + key + "' must be <= " +
+                                     std::to_string(spec.max) + ", got " +
+                                     text);
+    }
+    return OptionValue(static_cast<std::int64_t>(parsed));
+  }
+  if (std::holds_alternative<double>(spec.default_value)) {
+    const double parsed = std::strtod(begin, &end);
+    if (end == begin || *end != '\0' || errno == ERANGE) {
+      return Status::InvalidArgument("config key '" + key +
+                                     "' is not a number: " + text);
+    }
+    return OptionValue(parsed);
+  }
+  if (std::holds_alternative<bool>(spec.default_value)) {
+    std::string v = text;
+    std::transform(v.begin(), v.end(), v.begin(),
+                   [](unsigned char c) { return std::tolower(c); });
+    const bool yes = v == "true" || v == "1" || v == "yes" || v == "on";
+    if (yes || v == "false" || v == "0" || v == "no" || v == "off") {
+      return OptionValue(yes);
+    }
+    return Status::InvalidArgument("config key '" + key +
+                                   "' is not a boolean: " + text);
+  }
+  const auto& choices = spec.choices;
+  if (!choices.empty() &&
+      std::find(choices.begin(), choices.end(), text) == choices.end()) {
+    std::string allowed = choices.front();
+    for (std::size_t i = 1; i < choices.size(); ++i) {
+      allowed += (i + 1 < choices.size() ? ", " : " or ") + choices[i];
+    }
+    return Status::InvalidArgument(key + " must be " + allowed + ", got '" +
+                                   text + "'");
+  }
+  return OptionValue(text);
+}
+
 Result<Options> Options::Parse(const std::vector<OptionSpec>& table,
                                const Config& given) {
   Options options;
@@ -148,42 +162,12 @@ Result<Options> Options::Parse(const std::vector<OptionSpec>& table,
     }
   }
   for (const OptionSpec& spec : table) {
-    const std::string& key = spec.name;
-    const std::string text = given.GetString(key, "").value();
-    OptionValue& value = options.values_[key];
-    if (!given.Has(key)) {
-      if (spec.required) {
-        return Status::InvalidArgument("missing key '" + key + "'");
-      }
-    } else if (std::holds_alternative<std::string>(value)) {
-      const auto& choices = spec.choices;
-      if (!choices.empty() &&
-          std::find(choices.begin(), choices.end(), text) == choices.end()) {
-        std::string allowed = choices.front();
-        for (std::size_t i = 1; i < choices.size(); ++i) {
-          allowed += (i + 1 < choices.size() ? ", " : " or ") + choices[i];
-        }
-        return Status::InvalidArgument(key + " must be " + allowed +
-                                       ", got '" + text + "'");
-      }
-      value = text;
-    } else if (std::holds_alternative<std::int64_t>(value)) {
-      auto parsed = given.GetInt(key, 0);
-      if (!parsed.ok()) return parsed.status();
-      if (parsed.value() < spec.min) {
-        return Status::InvalidArgument("config key '" + key + "' must be >= " +
-                                       std::to_string(spec.min) + ", got " +
-                                       text);
-      }
-      value = parsed.value();
-    } else if (std::holds_alternative<double>(value)) {
-      auto parsed = given.GetDouble(key, 0.0);
-      if (!parsed.ok()) return parsed.status();
-      value = parsed.value();
-    } else {
-      auto parsed = given.GetBool(key, false);
-      if (!parsed.ok()) return parsed.status();
-      value = parsed.value();
+    if (given.Has(spec.name)) {
+      auto value = ParseOptionValue(spec, given.Text(spec.name));
+      if (!value.ok()) return value.status();
+      options.values_[spec.name] = std::move(value).value();
+    } else if (spec.required) {
+      return Status::InvalidArgument("missing key '" + spec.name + "'");
     }
   }
   return options;

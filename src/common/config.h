@@ -1,14 +1,17 @@
-// Tiny key=value configuration store.
+// Key=value options, parsed once against a declared table.
 //
-// Bench binaries and examples accept `key=value` command-line overrides and
-// optional config files with one `key = value` pair per line ('#' comments).
-// This mirrors the paper's "system configuration file" from which reader
-// frequencies are obtained for the partial/complete inference schedule.
-// A command that accepts only declared keys checks its `key=value` pairs
-// against a table of OptionSpec entries (Options::Parse).
+// `spire_cli`, the bench binaries and the examples take `key=value`
+// command-line arguments; repro files hold one `key = value` pair per line
+// ('#' comments). This mirrors the paper's "system configuration file" from
+// which reader frequencies are obtained for the partial/complete inference
+// schedule. A Config holds the given pairs as text; Options::Parse checks
+// them against a table of OptionSpec entries and is the one place where
+// option text becomes a typed value.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
@@ -19,7 +22,7 @@
 
 namespace spire {
 
-/// An ordered string-to-string map with typed accessors.
+/// The given `key = value` pairs, as text.
 class Config {
  public:
   Config() = default;
@@ -37,14 +40,8 @@ class Config {
 
   bool Has(const std::string& key) const;
 
-  /// Typed lookups returning `fallback` when the key is absent. Malformed
-  /// or out-of-range values produce an error.
-  Result<std::string> GetString(const std::string& key,
-                                const std::string& fallback) const;
-  Result<std::int64_t> GetInt(const std::string& key,
-                              std::int64_t fallback) const;
-  Result<double> GetDouble(const std::string& key, double fallback) const;
-  Result<bool> GetBool(const std::string& key, bool fallback) const;
+  /// The text given for `key`; empty when it was not given.
+  const std::string& Text(const std::string& key) const;
 
   /// All keys in insertion-independent (sorted) order.
   std::vector<std::string> Keys() const;
@@ -61,6 +58,7 @@ struct OptionSpec {
   std::string name;
   OptionValue default_value;
   std::int64_t min = INT64_MIN;  ///< Integer keys: the smallest allowed.
+  std::int64_t max = INT64_MAX;  ///< Integer keys: the largest allowed.
   /// Non-empty for an enum: the values allowed. An enum's empty default
   /// means "not given".
   std::vector<std::string> choices;
@@ -68,22 +66,33 @@ struct OptionSpec {
 };
 
 inline OptionSpec StringOption(std::string name, std::string value = "") {
-  return {std::move(name), std::move(value), INT64_MIN, {}, false};
+  return {std::move(name), std::move(value), INT64_MIN, INT64_MAX, {}, false};
 }
 inline OptionSpec IntOption(std::string name, std::int64_t value,
-                            std::int64_t min = INT64_MIN) {
-  return {std::move(name), value, min, {}, false};
+                            std::int64_t min = INT64_MIN,
+                            std::int64_t max = INT64_MAX) {
+  return {std::move(name), value, min, max, {}, false};
+}
+/// An integer option bounded by the range of the integer type `Int`, as far
+/// as an int64 reaches: a variable of that type holds any value it parses.
+template <typename Int>
+OptionSpec IntOptionOf(std::string name, Int value) {
+  using Limits = std::numeric_limits<Int>;
+  return IntOption(std::move(name), static_cast<std::int64_t>(value),
+                   Limits::min(),
+                   static_cast<std::int64_t>(
+                       std::min<std::uint64_t>(Limits::max(), INT64_MAX)));
 }
 inline OptionSpec DoubleOption(std::string name, double value) {
-  return {std::move(name), value, INT64_MIN, {}, false};
+  return {std::move(name), value, INT64_MIN, INT64_MAX, {}, false};
 }
 inline OptionSpec BoolOption(std::string name, bool value) {
-  return {std::move(name), value, INT64_MIN, {}, false};
+  return {std::move(name), value, INT64_MIN, INT64_MAX, {}, false};
 }
 inline OptionSpec EnumOption(std::string name, std::string value,
                              std::vector<std::string> choices) {
-  return {std::move(name), std::move(value), INT64_MIN, std::move(choices),
-          false};
+  return {std::move(name), std::move(value), INT64_MIN, INT64_MAX,
+          std::move(choices), false};
 }
 
 inline OptionSpec Required(OptionSpec spec) {
@@ -93,6 +102,12 @@ inline OptionSpec Required(OptionSpec spec) {
 
 /// `name=default` for usage text; an enum lists its choices, default first.
 std::string FormatOption(const OptionSpec& spec);
+
+/// `text` as a value of `spec`'s type: a base-10 integer within [min, max],
+/// a number, a boolean (true/1/yes/on, false/0/no/off, any case) or, for an
+/// enum, one of its choices. Fails with InvalidArgument naming the key.
+Result<OptionValue> ParseOptionValue(const OptionSpec& spec,
+                                     const std::string& text);
 
 /// Key=value pairs checked against one option table: every given key is
 /// declared, well-typed and in range, and every declared key reads its

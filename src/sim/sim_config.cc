@@ -1,47 +1,37 @@
 #include "sim/sim_config.h"
 
+#include <cstdio>
+#include <cstdlib>
+#include <initializer_list>
+#include <string>
+#include <type_traits>
+#include <utility>
+
 namespace spire {
 
 namespace {
 
-// Every field, in declaration order: the key list Keys() declares and
-// FromConfig loads.
-#define SPIRE_SIM_FIELDS(X)                                                \
-  X(duration_epochs) X(pallet_interval) X(min_cases_per_pallet)            \
-  X(max_cases_per_pallet) X(items_per_case) X(read_rate)                   \
-  X(nonshelf_ticks_per_epoch) X(shelf_period) X(num_shelves)               \
-  X(mean_shelf_stay) X(entry_dwell) X(belt_dwell) X(packaging_dwell)       \
-  X(exit_dwell) X(packaging_timeout) X(transit_time) X(theft_interval)     \
-  X(patrol_reader) X(patrol_dwell) X(transfer_sites) X(transfer_interval)  \
-  X(transfer_dwell) X(transfer_transit) X(transfer_round_trips)            \
-  X(transfer_cases) X(transfer_items) X(seed)
-
-OptionSpec KeyOf(const char* name, bool value) {
-  return BoolOption(name, value);
-}
-OptionSpec KeyOf(const char* name, double value) {
-  return DoubleOption(name, value);
-}
-template <typename Int>
-OptionSpec KeyOf(const char* name, Int value) {
-  return IntOption(name, static_cast<std::int64_t>(value));
+template <typename T>
+OptionSpec KeyOf(const char* name, T value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return BoolOption(name, value);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    return DoubleOption(name, value);
+  } else {
+    return IntOptionOf(name, value);
+  }
 }
 
-Status Load(const Config& config, const char* key, bool* field) {
-  auto r = config.GetBool(key, *field);
-  if (r.ok()) *field = r.value();
-  return r.status();
-}
-Status Load(const Config& config, const char* key, double* field) {
-  auto r = config.GetDouble(key, *field);
-  if (r.ok()) *field = r.value();
-  return r.status();
-}
-template <typename Int>
-Status Load(const Config& config, const char* key, Int* field) {
-  auto r = config.GetInt(key, static_cast<std::int64_t>(*field));
-  if (r.ok()) *field = static_cast<Int>(r.value());
-  return r.status();
+template <typename T>
+void Assign(const Options& options, const char* name, T* field) {
+  if (!options.Has(name)) return;
+  if constexpr (std::is_same_v<T, bool>) {
+    *field = options.Bool(name);
+  } else if constexpr (std::is_floating_point_v<T>) {
+    *field = options.Double(name);
+  } else {
+    *field = static_cast<T>(options.Int(name));
+  }
 }
 
 }  // namespace
@@ -53,16 +43,12 @@ std::vector<OptionSpec> SimConfig::Keys() {
 #undef SPIRE_KEY
 }
 
-Result<SimConfig> SimConfig::FromConfig(const Config& config) {
-  return FromConfig(config, SimConfig());
-}
-
-Result<SimConfig> SimConfig::FromConfig(const Config& config,
-                                        const SimConfig& base) {
+Result<SimConfig> SimConfig::FromOptions(const Options& options,
+                                         const SimConfig& base) {
   SimConfig out = base;
-#define SPIRE_LOAD(field) SPIRE_RETURN_NOT_OK(Load(config, #field, &out.field));
-  SPIRE_SIM_FIELDS(SPIRE_LOAD)
-#undef SPIRE_LOAD
+#define SPIRE_ASSIGN(field) Assign(options, #field, &out.field);
+  SPIRE_SIM_FIELDS(SPIRE_ASSIGN)
+#undef SPIRE_ASSIGN
   SPIRE_RETURN_NOT_OK(out.Validate());
   return out;
 }
@@ -74,8 +60,12 @@ Status SimConfig::Validate() const {
   if (pallet_interval < 1) {
     return Status::InvalidArgument("pallet_interval must be >= 1");
   }
-  if (min_cases_per_pallet < 1 || max_cases_per_pallet < min_cases_per_pallet) {
-    return Status::InvalidArgument("invalid cases-per-pallet range");
+  if (min_cases_per_pallet < 1) {
+    return Status::InvalidArgument("min_cases_per_pallet must be >= 1");
+  }
+  if (max_cases_per_pallet < min_cases_per_pallet) {
+    return Status::InvalidArgument(
+        "max_cases_per_pallet must be >= min_cases_per_pallet");
   }
   if (items_per_case < 0) {
     return Status::InvalidArgument("items_per_case must be >= 0");
@@ -95,9 +85,15 @@ Status SimConfig::Validate() const {
   if (mean_shelf_stay < 1) {
     return Status::InvalidArgument("mean_shelf_stay must be >= 1");
   }
-  if (entry_dwell < 1 || belt_dwell < 1 || packaging_dwell < 1 ||
-      exit_dwell < 1) {
-    return Status::InvalidArgument("stage dwell times must be >= 1");
+  for (const auto& [name, dwell] :
+       std::initializer_list<std::pair<const char*, Epoch>>{
+           {"entry_dwell", entry_dwell},
+           {"belt_dwell", belt_dwell},
+           {"packaging_dwell", packaging_dwell},
+           {"exit_dwell", exit_dwell}}) {
+    if (dwell < 1) {
+      return Status::InvalidArgument(std::string(name) + " must be >= 1");
+    }
   }
   if (transit_time < 0) {
     return Status::InvalidArgument("transit_time must be >= 0");
@@ -129,11 +125,41 @@ Status SimConfig::Validate() const {
     if (transfer_round_trips < 1) {
       return Status::InvalidArgument("transfer_round_trips must be >= 1");
     }
-    if (transfer_cases < 0 || transfer_items < 0) {
-      return Status::InvalidArgument("transfer cargo counts must be >= 0");
+    if (transfer_cases < 0) {
+      return Status::InvalidArgument("transfer_cases must be >= 0");
+    }
+    if (transfer_items < 0) {
+      return Status::InvalidArgument("transfer_items must be >= 0");
     }
   }
   return Status::OK();
+}
+
+Options ParseSimArgs(int argc, char** argv,
+                     const std::vector<OptionSpec>& keys) {
+  std::vector<OptionSpec> table = keys;
+  for (OptionSpec& key : SimConfig::Keys()) table.push_back(std::move(key));
+  auto given = Config::FromArgs(argc, argv);
+  Result<Options> options =
+      given.ok() ? Options::Parse(table, given.value())
+                 : Result<Options>(given.status());
+  if (!options.ok()) {
+    std::string usage;
+    for (const OptionSpec& key : keys) usage += " [" + FormatOption(key) + "]";
+    std::fprintf(stderr, "%s\nusage: %s%s [<SimConfig key>=value ...]\n",
+                 options.status().ToString().c_str(), argv[0], usage.c_str());
+    std::exit(1);
+  }
+  return std::move(options).value();
+}
+
+SimConfig ApplySimOverrides(const Options& options, const SimConfig& base) {
+  auto config = SimConfig::FromOptions(options, base);
+  if (!config.ok()) {
+    std::fprintf(stderr, "%s\n", config.status().ToString().c_str());
+    std::exit(1);
+  }
+  return config.value();
 }
 
 }  // namespace spire

@@ -10,6 +10,18 @@
 
 namespace spire {
 
+/// Every SimConfig field, in declaration order: the one list behind
+/// SimConfig::Keys(), SimConfig::FromOptions and the repro-file writer.
+#define SPIRE_SIM_FIELDS(X)                                                \
+  X(duration_epochs) X(pallet_interval) X(min_cases_per_pallet)            \
+  X(max_cases_per_pallet) X(items_per_case) X(read_rate)                   \
+  X(nonshelf_ticks_per_epoch) X(shelf_period) X(num_shelves)               \
+  X(mean_shelf_stay) X(entry_dwell) X(belt_dwell) X(packaging_dwell)       \
+  X(exit_dwell) X(packaging_timeout) X(transit_time) X(theft_interval)     \
+  X(patrol_reader) X(patrol_dwell) X(transfer_sites) X(transfer_interval)  \
+  X(transfer_dwell) X(transfer_transit) X(transfer_round_trips)            \
+  X(transfer_cases) X(transfer_items) X(seed)
+
 /// All knobs of the warehouse trace generator. Defaults follow the paper's
 /// accuracy experiments (Section VI-B): 6 pallets injected per hour, 5 cases
 /// per pallet, 20 items per case, 1-hour average shelving period, 3-hour
@@ -103,17 +115,27 @@ struct SimConfig {
   std::uint64_t seed = 42;
 
   /// Every field above as a `key=value` option named after it, defaulted
-  /// from SimConfig{}: the one key list FromConfig loads.
+  /// from SimConfig{} and bounded by the field's type (SPIRE_SIM_FIELDS).
   static std::vector<OptionSpec> Keys();
 
-  /// Applies `key=value` overrides (the Keys() names) on top of `base`,
-  /// which supplies the defaults for keys not present.
-  static Result<SimConfig> FromConfig(const Config& config,
-                                      const SimConfig& base);
-  static Result<SimConfig> FromConfig(const Config& config);
+  /// `base` with every Keys() field that `options` was given set to its
+  /// value, then validated. Parsed against Keys(), each value fits its
+  /// field's type and is stored unchanged.
+  static Result<SimConfig> FromOptions(const Options& options,
+                                       const SimConfig& base);
 
   /// Sanity-checks ranges.
   Status Validate() const;
 };
+
+/// Parses a command line's `key=value` arguments (argv[1..argc)) against
+/// `keys` plus SimConfig::Keys(). An unknown, malformed or out-of-range key
+/// prints its name and a usage line to stderr and exits with status 1.
+Options ParseSimArgs(int argc, char** argv,
+                     const std::vector<OptionSpec>& keys = {});
+
+/// SimConfig::FromOptions(options, base); prints the reason and exits with
+/// status 1 when it fails.
+SimConfig ApplySimOverrides(const Options& options, const SimConfig& base);
 
 }  // namespace spire

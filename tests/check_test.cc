@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -166,6 +167,77 @@ TEST(ReproTest, SerializeParseRoundTrip) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a.value().total_readings, b.value().total_readings);
+}
+
+void Bump(bool* field) { *field = !*field; }
+void Bump(double* field) { *field /= 3; }
+template <typename Int>
+void Bump(Int* field) {
+  *field += 1;
+}
+
+TEST(ReproTest, RoundTripsEveryField) {
+  FuzzCase fuzz_case = CaseFromSeed(1523);
+  fuzz_case.sim.transfer_sites = 2;  // Bumped to 3: transfers on.
+#define SPIRE_BUMP(field) Bump(&fuzz_case.sim.field);
+  SPIRE_SIM_FIELDS(SPIRE_BUMP)
+#undef SPIRE_BUMP
+  fuzz_case.sim.seed = INT64_MAX;  // The largest seed a repro file holds.
+  fuzz_case.max_epochs = 17;
+  fuzz_case.excluded_tags = {Item(3)};
+  ASSERT_TRUE(fuzz_case.sim.Validate().ok());
+  auto parsed = ParseRepro(SerializeRepro(fuzz_case, nullptr));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+#define SPIRE_EXPECT_FIELD(field) \
+  EXPECT_EQ(parsed.value().sim.field, fuzz_case.sim.field) << #field;
+  SPIRE_SIM_FIELDS(SPIRE_EXPECT_FIELD)
+#undef SPIRE_EXPECT_FIELD
+  EXPECT_EQ(parsed.value().max_epochs, 17);
+  EXPECT_EQ(parsed.value().excluded_tags, fuzz_case.excluded_tags);
+}
+
+TEST(ReproTest, SeedKeyStopsAtInt64Max) {
+  FuzzCase fuzz_case = CaseFromSeed(1);
+  fuzz_case.sim.seed = static_cast<std::uint64_t>(INT64_MAX) + 1;
+  auto parsed = ParseRepro(SerializeRepro(fuzz_case, nullptr));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().message(),
+            "config key 'seed' must be <= 9223372036854775807, got "
+            "9223372036854775808");
+  EXPECT_EQ(ParseRepro({"seed = 1", "max_epoch = 3"}).status().message(),
+            "unknown key 'max_epoch'");
+}
+
+TEST(ReproTest, LoadsTheSeedFirstLayout) {
+  // A repro file as written before the field list drove the writer: seed
+  // first, then every other field in declaration order.
+  const std::vector<std::string> lines = {
+      "# spire_fuzz repro — replay with: spire_fuzz --replay <this file>",
+      "# oracle: level2_recovery", "#   first divergence", "#   line two",
+      "seed = 1523", "duration_epochs = 368", "pallet_interval = 49",
+      "min_cases_per_pallet = 1", "max_cases_per_pallet = 1",
+      "items_per_case = 5", "read_rate = 0.28333333333333333",
+      "nonshelf_ticks_per_epoch = 1", "shelf_period = 16", "num_shelves = 1",
+      "mean_shelf_stay = 131", "entry_dwell = 8", "belt_dwell = 1",
+      "packaging_dwell = 17", "exit_dwell = 3", "packaging_timeout = 173",
+      "transit_time = 3", "theft_interval = 94", "patrol_reader = true",
+      "patrol_dwell = 3", "transfer_sites = 1", "transfer_interval = 120",
+      "transfer_dwell = 4", "transfer_transit = 5",
+      "transfer_round_trips = 1", "transfer_cases = 2", "transfer_items = 3",
+      "max_epochs = 17", "exclude_tags = 0x10000000000003,0x8"};
+  FuzzCase expected = CaseFromSeed(1523);
+  expected.sim.read_rate = 0.85 / 3;
+  expected.sim.patrol_reader = true;
+  expected.max_epochs = 17;
+  expected.excluded_tags = {0x10000000000003ULL, 0x8ULL};
+  auto parsed = ParseRepro(lines);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+#define SPIRE_EXPECT_FIELD(field) \
+  EXPECT_EQ(parsed.value().sim.field, expected.sim.field) << #field;
+  SPIRE_SIM_FIELDS(SPIRE_EXPECT_FIELD)
+#undef SPIRE_EXPECT_FIELD
+  EXPECT_EQ(parsed.value().max_epochs, expected.max_epochs);
+  EXPECT_EQ(parsed.value().excluded_tags, expected.excluded_tags);
 }
 
 TEST(ShrinkTest, TruncatesEpochsAndExcludesIrrelevantTags) {

@@ -2,10 +2,13 @@
 // deterministic RNG, config parsing, and thread-safe logging.
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/bitvector.h"
@@ -249,13 +252,21 @@ TEST(Pcg32Test, BernoulliMatchesProbability) {
 
 // --------------------------------------------------------------- Config ---
 
+/// Parses `key = text` against a table holding only `spec`.
+Result<Options> ParseKey(const OptionSpec& spec, const std::string& text) {
+  Config given;
+  given.Set(spec.name, text);
+  return Options::Parse({spec}, given);
+}
+
 TEST(ConfigTest, ParsesLinesSkippingComments) {
   auto config = Config::FromLines(
       {"# comment", "", "  read_rate = 0.85 ", "shelf_period=60"});
   ASSERT_TRUE(config.ok());
   EXPECT_TRUE(config.value().Has("read_rate"));
-  EXPECT_EQ(config.value().GetDouble("read_rate", 0).value(), 0.85);
-  EXPECT_EQ(config.value().GetInt("shelf_period", 0).value(), 60);
+  EXPECT_EQ(config.value().Text("read_rate"), "0.85");
+  EXPECT_EQ(config.value().Text("shelf_period"), "60");
+  EXPECT_EQ(config.value().Keys().size(), 2u);
 }
 
 TEST(ConfigTest, RejectsMalformedLines) {
@@ -264,36 +275,55 @@ TEST(ConfigTest, RejectsMalformedLines) {
 }
 
 TEST(ConfigTest, FallbacksForMissingKeys) {
-  Config config;
-  EXPECT_EQ(config.GetInt("absent", 42).value(), 42);
-  EXPECT_EQ(config.GetDouble("absent", 1.5).value(), 1.5);
-  EXPECT_EQ(config.GetString("absent", "x").value(), "x");
-  EXPECT_EQ(config.GetBool("absent", true).value(), true);
+  EXPECT_EQ(Config().Text("absent"), "");
+  auto options = Options::Parse(
+      {IntOption("i", 42), DoubleOption("d", 1.5), StringOption("s", "x"),
+       BoolOption("b", true)},
+      Config());
+  ASSERT_TRUE(options.ok());
+  EXPECT_EQ(options.value().Int("i"), 42);
+  EXPECT_EQ(options.value().Double("d"), 1.5);
+  EXPECT_EQ(options.value().String("s"), "x");
+  EXPECT_EQ(options.value().Bool("b"), true);
 }
 
 TEST(ConfigTest, TypedParseErrors) {
-  Config config;
-  config.Set("n", "not-a-number");
-  EXPECT_FALSE(config.GetInt("n", 0).ok());
-  EXPECT_FALSE(config.GetDouble("n", 0).ok());
-  EXPECT_FALSE(config.GetBool("n", false).ok());
-  config.Set("n", "99999999999999999999999");
-  EXPECT_EQ(config.GetInt("n", 0).status().message(),
-            "config key 'n' is not an integer: 99999999999999999999999");
-  config.Set("n", "1e999");
-  EXPECT_EQ(config.GetDouble("n", 0).status().message(),
+  for (const OptionSpec& spec :
+       {IntOption("n", 0), DoubleOption("n", 0), BoolOption("n", false)}) {
+    for (const char* text : {"not-a-number", "", "12abc"}) {
+      EXPECT_FALSE(ParseKey(spec, text).ok()) << text;
+    }
+  }
+  EXPECT_EQ(ParseKey(IntOption("n", 0), "12abc").status().message(),
+            "config key 'n' is not an integer: 12abc");
+  EXPECT_EQ(ParseKey(IntOption("n", 0), "0x10").status().message(),
+            "config key 'n' is not an integer: 0x10");
+  EXPECT_EQ(ParseKey(IntOption("n", 0), "99999999999999999999999")
+                .status()
+                .message(),
+            "config key 'n' must be <= 9223372036854775807, got "
+            "99999999999999999999999");
+  EXPECT_EQ(ParseKey(IntOption("n", 0), "-99999999999999999999999")
+                .status()
+                .message(),
+            "config key 'n' must be >= -9223372036854775808, got "
+            "-99999999999999999999999");
+  EXPECT_EQ(ParseKey(DoubleOption("n", 0), "1e999").status().message(),
             "config key 'n' is not a number: 1e999");
+  EXPECT_EQ(ParseKey(BoolOption("n", false), "maybe").status().message(),
+            "config key 'n' is not a boolean: maybe");
 }
 
 TEST(ConfigTest, BoolSpellings) {
-  Config config;
   for (const char* spelling : {"true", "1", "yes", "on", "TRUE"}) {
-    config.Set("b", spelling);
-    EXPECT_TRUE(config.GetBool("b", false).value()) << spelling;
+    auto parsed = ParseKey(BoolOption("b", false), spelling);
+    ASSERT_TRUE(parsed.ok()) << spelling;
+    EXPECT_TRUE(parsed.value().Bool("b")) << spelling;
   }
   for (const char* spelling : {"false", "0", "no", "off", "False"}) {
-    config.Set("b", spelling);
-    EXPECT_FALSE(config.GetBool("b", true).value()) << spelling;
+    auto parsed = ParseKey(BoolOption("b", true), spelling);
+    ASSERT_TRUE(parsed.ok()) << spelling;
+    EXPECT_FALSE(parsed.value().Bool("b")) << spelling;
   }
 }
 
@@ -301,14 +331,17 @@ TEST(ConfigTest, FromArgsParsesKeyValueTokens) {
   const char* argv[] = {"prog", "a=1", "b=two"};
   auto config = Config::FromArgs(3, argv);
   ASSERT_TRUE(config.ok());
-  EXPECT_EQ(config.value().GetInt("a", 0).value(), 1);
-  EXPECT_EQ(config.value().GetString("b", "").value(), "two");
+  EXPECT_EQ(config.value().Text("a"), "1");
+  EXPECT_EQ(config.value().Text("b"), "two");
 }
 
 TEST(ConfigTest, LaterKeysOverride) {
   auto config = Config::FromLines({"k = 1", "k = 2"});
   ASSERT_TRUE(config.ok());
-  EXPECT_EQ(config.value().GetInt("k", 0).value(), 2);
+  EXPECT_EQ(config.value().Text("k"), "2");
+  auto options = Options::Parse({IntOption("k", 0)}, config.value());
+  ASSERT_TRUE(options.ok());
+  EXPECT_EQ(options.value().Int("k"), 2);
 }
 
 TEST(ConfigTest, KeysSorted) {
@@ -375,6 +408,39 @@ TEST(OptionsTest, RejectsUnknownMalformedAndOutOfRangeKeysByName) {
     EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << line;
     EXPECT_EQ(parsed.status().message(), message) << line;
   }
+}
+
+TEST(OptionsTest, IntOptionOfHoldsItsTypesRange) {
+  const std::pair<std::string, std::string> rejected[] = {
+      {"2147483648", "config key 'n' must be <= 2147483647, got 2147483648"},
+      {"-2147483649",
+       "config key 'n' must be >= -2147483648, got -2147483649"},
+      {"4294967297", "config key 'n' must be <= 2147483647, got 4294967297"},
+  };
+  for (const auto& [text, message] : rejected) {
+    EXPECT_EQ(ParseKey(IntOptionOf<int>("n", 0), text).status().message(),
+              message);
+  }
+  EXPECT_EQ(ParseKey(IntOptionOf<int>("n", 0), "-2147483648")
+                .value()
+                .Int("n"),
+            INT_MIN);
+  // An unsigned 64-bit variable takes [0, INT64_MAX]: what an int64 holds.
+  EXPECT_EQ(ParseKey(IntOptionOf<std::uint64_t>("n", 0), "-1")
+                .status()
+                .message(),
+            "config key 'n' must be >= 0, got -1");
+  EXPECT_EQ(ParseKey(IntOptionOf<std::uint64_t>("n", 0),
+                     "9223372036854775808")
+                .status()
+                .message(),
+            "config key 'n' must be <= 9223372036854775807, got "
+            "9223372036854775808");
+  EXPECT_EQ(ParseKey(IntOptionOf<std::uint64_t>("n", 0),
+                     "9223372036854775807")
+                .value()
+                .Int("n"),
+            INT64_MAX);
 }
 
 TEST(OptionsTest, RequiredKeyMustBeGiven) {

@@ -4,6 +4,9 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/epc.h"
 #include "compress/well_formed.h"
@@ -63,25 +66,48 @@ TEST(SimConfigTest, KeysNameEveryFieldOnceWithItsDefault) {
   EXPECT_EQ(std::get<std::int64_t>(defaults.at("duration_epochs")), 3 * 3600);
 }
 
-TEST(SimConfigTest, FromConfigOverridesSelectedKeys) {
-  Config overrides;
-  overrides.Set("read_rate", "0.7");
-  overrides.Set("shelf_period", "30");
+/// `lines` parsed against SimConfig::Keys() and applied on top of `base`.
+Result<SimConfig> FromLines(const std::vector<std::string>& lines,
+                            const SimConfig& base = SimConfig()) {
+  auto given = Config::FromLines(lines);
+  if (!given.ok()) return given.status();
+  auto options = Options::Parse(SimConfig::Keys(), given.value());
+  if (!options.ok()) return options.status();
+  return SimConfig::FromOptions(options.value(), base);
+}
+
+TEST(SimConfigTest, FromOptionsOverridesSelectedKeys) {
   SimConfig base = SmallConfig();
-  auto result = SimConfig::FromConfig(overrides, base);
+  auto result =
+      FromLines({"read_rate = 0.7", "shelf_period = 30", "patrol_reader = on",
+                 "seed = 9223372036854775807"},
+                base);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().read_rate, 0.7);
   EXPECT_EQ(result.value().shelf_period, 30);
+  EXPECT_TRUE(result.value().patrol_reader);
+  EXPECT_EQ(result.value().seed, 9223372036854775807u);
   EXPECT_EQ(result.value().duration_epochs, base.duration_epochs);
 }
 
-TEST(SimConfigTest, FromConfigRejectsMalformedValues) {
-  Config overrides;
-  overrides.Set("read_rate", "fast");
-  EXPECT_FALSE(SimConfig::FromConfig(overrides).ok());
-  Config invalid;
-  invalid.Set("read_rate", "2.0");
-  EXPECT_FALSE(SimConfig::FromConfig(invalid).ok());
+TEST(SimConfigTest, FromOptionsRejectsMalformedAndNarrowedValuesByName) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"read_rate = fast", "config key 'read_rate' is not a number: fast"},
+      {"read_rate = 2.0", "read_rate must be in [0, 1]"},
+      {"entry_dwell = 0", "entry_dwell must be >= 1"},
+      // An int field never wraps: 2^32 + 1 would run as 1 shelf.
+      {"num_shelves = 4294967297",
+       "config key 'num_shelves' must be <= 2147483647, got 4294967297"},
+      {"num_shelves = -4294967295",
+       "config key 'num_shelves' must be >= -2147483648, got -4294967295"},
+      {"seed = -1", "config key 'seed' must be >= 0, got -1"},
+      {"no_such_key = 1", "unknown key 'no_such_key'"},
+  };
+  for (const auto& [line, message] : cases) {
+    auto result = FromLines({line});
+    ASSERT_FALSE(result.ok()) << line;
+    EXPECT_EQ(result.status().message(), message) << line;
+  }
 }
 
 // ---------------------------------------------------------------- Layout --

@@ -22,6 +22,8 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -76,9 +78,11 @@ namespace {
 const OptionSpec kIn = StringOption("in");
 const OptionSpec kOut = StringOption("out");
 const OptionSpec kDeployment = StringOption("deployment");
-const OptionSpec kSeed = IntOption("seed", 1);
-const OptionSpec kInputSeed = IntOption("seed", 0);  // 0: input from files.
-const OptionSpec kSites = IntOption("sites", 0, 0);
+// Fuzz-case seeds, 0 through INT64_MAX as in spire_fuzz and repro files;
+// kInputSeed's 0 means input from files.
+const OptionSpec kSeed = IntOptionOf<std::uint64_t>("seed", 1);
+const OptionSpec kInputSeed = IntOptionOf<std::uint64_t>("seed", 0);
+const OptionSpec kSites = IntOption("sites", 0, 0, INT_MAX);
 const OptionSpec kObject = IntOption("object", -1, -1);  // -1: no object.
 const OptionSpec kFrom = IntOption("from", 0);
 const OptionSpec kTo = IntOption("to", kInfiniteEpoch);
@@ -88,7 +92,7 @@ const OptionSpec kStatusz = EnumOption("statusz", "", {"text", "json"});
 const OptionSpec kStatsOut = StringOption("stats_out");
 const OptionSpec kTraceOut = StringOption("trace_out");
 const OptionSpec kExplainOut = StringOption("explain_out");
-const OptionSpec kNodes = IntOption("nodes", 2);
+const OptionSpec kNodes = IntOptionOf("nodes", 2);
 
 using Keys = std::vector<OptionSpec>;
 
@@ -116,7 +120,8 @@ const Keys kWriter = {
     EnumOption("format", "2", {"1", "2"})};
 const Keys kFleet = {
     kNodes,    BoolOption("check", true), BoolOption("stats", false),
-    kStatsOut, kStatusz, IntOption("stats_every", 16, 0), kTraceOut, kOut};
+    kStatsOut, kStatusz, IntOption("stats_every", 16, 0, UINT32_MAX),
+    kTraceOut, kOut};
 // Everything a dist run's workload derives from: the fuzz case `seed`,
 // `sites`, the level its pipelines run at, and the other SimConfig keys. A
 // spawned `node` re-derives the workload from exactly these keys, forwarded
@@ -162,7 +167,7 @@ Result<std::vector<std::string>> LoadLines(const std::string& path) {
 int RunGenerate(const Options& args) {
   auto out_path = args.String("out");
   auto deployment_path = args.String("deployment");
-  auto sim_config = SimConfig::FromConfig(args.given());
+  auto sim_config = SimConfig::FromOptions(args, SimConfig());
   if (!sim_config.ok()) return Fail(sim_config.status());
   auto sim = WarehouseSimulator::Create(sim_config.value());
   if (!sim.ok()) return Fail(sim.status());
@@ -937,7 +942,7 @@ Result<serve::Workload> BuildServeWorkload(const Options& args) {
 Result<SimConfig> DistSimConfig(const Options& args) {
   FuzzCase fuzz_case =
       CaseFromSeed(static_cast<std::uint64_t>(args.Int("seed")));
-  auto sim = SimConfig::FromConfig(args.given(), fuzz_case.sim);
+  auto sim = SimConfig::FromOptions(args, fuzz_case.sim);
   if (!sim.ok()) return sim.status();
   SimConfig config = sim.value();
   if (args.Int("sites") > 0) {
@@ -1033,8 +1038,7 @@ dist::DistResult SpawnDistProcesses(const Options& args,
   std::vector<std::string> forwarded;
   for (const OptionSpec& key : kWorkload) {
     if (args.Has(key.name)) {
-      forwarded.push_back(key.name + "=" +
-                          args.given().GetString(key.name, "").value());
+      forwarded.push_back(key.name + "=" + args.given().Text(key.name));
     }
   }
   std::vector<pid_t> children;
@@ -1898,7 +1902,8 @@ const std::vector<Command> kCommands = {
     {"compact", Join({{Required(kIn), Required(kOut)}, kWriter}), RunCompact},
     {"queryserve",
      {Required(kIn), StringOption("requests"), IntOption("count", 10000, 1),
-      kSeed, IntOption("threads", 1, 1), IntOption("passes", 1, 1),
+      kSeed, IntOption("threads", 1, 1, INT_MAX),
+      IntOption("passes", 1, 1, INT_MAX),
       IntOption("cache_mb", 64, 0), BoolOption("check", false), kMmap,
       kStatsOut, kStatusz},
      RunQueryserve},
@@ -1909,8 +1914,8 @@ const std::vector<Command> kCommands = {
            kFleet}),
      RunDist},
     {"node",
-     Join({{Required(IntOption("node_id", 0, 0)), Required(kNodes),
-            Required(IntOption("fd", 0, 0)), kTraceOut},
+     Join({{Required(IntOption("node_id", 0, 0, INT_MAX)), Required(kNodes),
+            Required(IntOption("fd", 0, 0, INT_MAX)), kTraceOut},
            kWorkload}),
      RunNode},
     {"run",

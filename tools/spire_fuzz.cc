@@ -13,17 +13,20 @@
 // violation the trace is minimized (epochs, then tags) and a replayable
 // repro file is archived; the repro path is printed to stdout. Exit code 0
 // iff every oracle stayed green.
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "check/fuzzer.h"
 #include "check/oracles.h"
 #include "check/repro.h"
 #include "check/trace_gen.h"
+#include "common/config.h"
 #include "compress/decompress.h"
 
 using namespace spire;
@@ -53,14 +56,33 @@ double ParseBudget(const std::string& text) {
   return -1.0;
 }
 
+/// `text` as a seed, by the option parser's integer rule: base 10, the
+/// whole text, 0 through INT64_MAX (the range of a repro file's `seed`
+/// key). The error names `key`.
+Result<std::uint64_t> ParseSeed(const std::string& key,
+                                const std::string& text) {
+  auto value = ParseOptionValue(IntOptionOf<std::uint64_t>(key, 0), text);
+  if (!value.ok()) return value.status();
+  return static_cast<std::uint64_t>(std::get<std::int64_t>(value.value()));
+}
+
 /// `--seeds` accepts a count (expanded from --start-seed) or a corpus file
-/// with one seed per line ('#' comments).
+/// with one seed per line ('#' comments). Prints why and returns false on a
+/// malformed or out-of-range seed.
 bool LoadSeeds(const std::string& spec, std::uint64_t start_seed,
                std::vector<std::uint64_t>* seeds) {
-  char* end = nullptr;
-  const std::uint64_t count = std::strtoull(spec.c_str(), &end, 10);
-  if (end != spec.c_str() && *end == '\0') {
-    for (std::uint64_t i = 0; i < count; ++i) {
+  auto count = ParseSeed("--seeds", spec);
+  if (count.ok()) {
+    if (count.value() > 0 &&
+        count.value() - 1 > static_cast<std::uint64_t>(INT64_MAX) - start_seed) {
+      std::fprintf(stderr,
+                   "error: --seeds %s from --start-seed %llu runs past seed "
+                   "%lld, the largest a repro file holds\n",
+                   spec.c_str(), static_cast<unsigned long long>(start_seed),
+                   static_cast<long long>(INT64_MAX));
+      return false;
+    }
+    for (std::uint64_t i = 0; i < count.value(); ++i) {
       seeds->push_back(start_seed + i);
     }
     return true;
@@ -71,10 +93,18 @@ bool LoadSeeds(const std::string& spec, std::uint64_t start_seed,
     return false;
   }
   std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t from = line.find_first_not_of(" \t");
-    if (from == std::string::npos || line[from] == '#') continue;
-    seeds->push_back(std::strtoull(line.c_str() + from, nullptr, 0));
+  for (int number = 1; std::getline(in, line); ++number) {
+    const std::string text = line.substr(0, line.find('#'));
+    const std::size_t from = text.find_first_not_of(" \t\r");
+    if (from == std::string::npos) continue;
+    const std::size_t to = text.find_last_not_of(" \t\r");
+    auto seed = ParseSeed("seed", text.substr(from, to - from + 1));
+    if (!seed.ok()) {
+      std::fprintf(stderr, "error: %s line %d: %s\n", spec.c_str(), number,
+                   seed.status().ToString().c_str());
+      return false;
+    }
+    seeds->push_back(seed.value());
   }
   return true;
 }
@@ -138,64 +168,60 @@ int RunReplay(const std::string& path, bool dump) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string seeds_spec;
-  std::string replay_path;
-  bool dump = false;
-  FuzzOptions options;
-  options.repro_dir = "fuzz-repros";
-  std::uint64_t start_seed = 1;
-
+  const FuzzOptions defaults;
+  const std::vector<OptionSpec> table = {
+      StringOption("--seeds"),
+      StringOption("--replay"),
+      IntOptionOf<std::uint64_t>("--start-seed", 1),
+      StringOption("--budget"),
+      StringOption("--out-dir", defaults.repro_dir),
+      IntOptionOf("--min-cases", defaults.min_cases),
+      IntOptionOf("--shrink-attempts", defaults.shrink_attempts),
+      IntOptionOf("--max-failures", defaults.max_failures),
+      BoolOption("--dump", false),
+      BoolOption("--no-shrink", false)};
+  // Every flag but --dump and --no-shrink takes the next argument as its
+  // value; Options::Parse then checks them all against the table.
+  Config given;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--seeds") {
-      const char* value = next();
-      if (value == nullptr) return Usage();
-      seeds_spec = value;
-    } else if (arg == "--replay") {
-      const char* value = next();
-      if (value == nullptr) return Usage();
-      replay_path = value;
-    } else if (arg == "--start-seed") {
-      const char* value = next();
-      if (value == nullptr) return Usage();
-      start_seed = std::strtoull(value, nullptr, 0);
-    } else if (arg == "--budget") {
-      const char* value = next();
-      if (value == nullptr) return Usage();
-      options.budget_seconds = ParseBudget(value);
-      if (options.budget_seconds < 0.0) return Usage();
-    } else if (arg == "--out-dir") {
-      const char* value = next();
-      if (value == nullptr) return Usage();
-      options.repro_dir = value;
-    } else if (arg == "--min-cases") {
-      const char* value = next();
-      if (value == nullptr) return Usage();
-      options.min_cases = std::strtoull(value, nullptr, 10);
-    } else if (arg == "--shrink-attempts") {
-      const char* value = next();
-      if (value == nullptr) return Usage();
-      options.shrink_attempts = std::atoi(value);
-    } else if (arg == "--dump") {
-      dump = true;
-    } else if (arg == "--no-shrink") {
-      options.shrink_attempts = 0;
-    } else if (arg == "--max-failures") {
-      const char* value = next();
-      if (value == nullptr) return Usage();
-      options.max_failures = std::strtoull(value, nullptr, 10);
+    const std::string flag = argv[i];
+    if (flag == "--dump" || flag == "--no-shrink") {
+      given.Set(flag, "true");
+    } else if (i + 1 < argc) {
+      given.Set(flag, argv[++i]);
     } else {
-      std::fprintf(stderr, "error: unknown argument: %s\n", arg.c_str());
       return Usage();
     }
   }
+  auto parsed = Options::Parse(table, given);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "error: %s\n", parsed.status().ToString().c_str());
+    return Usage();
+  }
+  const Options& flags = parsed.value();
+  if (flags.Has("--replay")) {
+    return RunReplay(flags.String("--replay"), flags.Bool("--dump"));
+  }
+  if (!flags.Has("--seeds")) return Usage();
 
-  if (!replay_path.empty()) return RunReplay(replay_path, dump);
-  if (seeds_spec.empty()) return Usage();
-  if (!LoadSeeds(seeds_spec, start_seed, &options.seeds)) return 2;
+  FuzzOptions options;
+  options.repro_dir = flags.String("--out-dir");
+  options.min_cases = static_cast<std::size_t>(flags.Int("--min-cases"));
+  options.shrink_attempts =
+      flags.Bool("--no-shrink")
+          ? 0
+          : static_cast<int>(flags.Int("--shrink-attempts"));
+  options.max_failures =
+      static_cast<std::size_t>(flags.Int("--max-failures"));
+  if (flags.Has("--budget")) {
+    options.budget_seconds = ParseBudget(flags.String("--budget"));
+    if (options.budget_seconds < 0.0) return Usage();
+  }
+  if (!LoadSeeds(flags.String("--seeds"),
+                 static_cast<std::uint64_t>(flags.Int("--start-seed")),
+                 &options.seeds)) {
+    return 2;
+  }
   if (options.seeds.empty()) {
     std::fprintf(stderr, "error: empty seed corpus\n");
     return 2;
