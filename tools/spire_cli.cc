@@ -801,6 +801,14 @@ int RunQueryserve(const Options& args) {
                 static_cast<unsigned long long>(stats.capacity_bytes),
                 static_cast<unsigned long long>(
                     segment_log.blocks_decoded()));
+    std::printf("stay hits/misses by key kind: object %llu/%llu, "
+                "container %llu/%llu, location %llu/%llu\n",
+                static_cast<unsigned long long>(stats.object_hits),
+                static_cast<unsigned long long>(stats.object_misses),
+                static_cast<unsigned long long>(stats.container_hits),
+                static_cast<unsigned long long>(stats.container_misses),
+                static_cast<unsigned long long>(stats.location_hits),
+                static_cast<unsigned long long>(stats.location_misses));
     // The serving invariants: every lookup is a hit or a miss, and only
     // misses decode (concurrent same-key misses may both decode, so
     // decodes <= misses rather than ==).
@@ -1508,34 +1516,45 @@ int RunMergeTraces(const Options& args) {
 }
 
 /// A registry dump's query cache counters, when it has them: each hit and
-/// miss total equals the sum of its stay-entry and block-entry split.
+/// miss total equals the sum of its stay-entry and block-entry split, and
+/// each stay total the sum of its object, container and location split.
 Status CheckQueryCacheSplit(const obs::JsonValue& modules) {
   const obs::JsonValue* query = modules.Find("query");
   const obs::JsonValue* counters =
       query == nullptr ? nullptr : query->Find("counters");
   if (counters == nullptr) return Status::OK();
-  for (const std::string outcome : {"hits", "misses"}) {
-    const obs::JsonValue* parts[] = {
-        counters->Find("cache_" + outcome),
-        counters->Find("cache_stay_" + outcome),
-        counters->Find("cache_block_" + outcome)};
-    if (parts[0] == nullptr && parts[1] == nullptr && parts[2] == nullptr) {
+  // Each total, then the parts that must add up to it.
+  const std::vector<std::vector<std::string>> splits = {
+      {"cache_hits", "cache_stay_hits", "cache_block_hits"},
+      {"cache_misses", "cache_stay_misses", "cache_block_misses"},
+      {"cache_stay_hits", "cache_object_hits", "cache_container_hits",
+       "cache_location_hits"},
+      {"cache_stay_misses", "cache_object_misses", "cache_container_misses",
+       "cache_location_misses"}};
+  for (const std::vector<std::string>& split : splits) {
+    std::vector<const obs::JsonValue*> parts;
+    for (const std::string& name : split) parts.push_back(counters->Find(name));
+    if (std::all_of(parts.begin(), parts.end(),
+                    [](const obs::JsonValue* part) { return part == nullptr; })) {
       continue;
     }
-    unsigned long long values[3] = {0, 0, 0};
-    for (int i = 0; i < 3; ++i) {
+    std::vector<unsigned long long> values(parts.size(), 0);
+    for (std::size_t i = 0; i < parts.size(); ++i) {
       if (parts[i] == nullptr ||
           parts[i]->type != obs::JsonValue::Type::kNumber ||
           std::sscanf(parts[i]->text.c_str(), "%llu", &values[i]) != 1) {
-        return Status::InvalidArgument(
-            "query cache_" + outcome +
-            " needs numeric total, stay and block counters");
+        return Status::InvalidArgument("query " + split[0] +
+                                       " needs numeric counters for its split");
       }
     }
-    if (values[1] + values[2] != values[0]) {
-      return Status::InvalidArgument(
-          "query cache_stay_" + outcome + " + cache_block_" + outcome +
-          " != cache_" + outcome);
+    unsigned long long sum = 0;
+    std::string names;
+    for (std::size_t i = 1; i < parts.size(); ++i) {
+      sum += values[i];
+      names += (i > 1 ? " + " : "") + split[i];
+    }
+    if (sum != values[0]) {
+      return Status::InvalidArgument("query " + names + " != " + split[0]);
     }
   }
   return Status::OK();
