@@ -12,11 +12,14 @@
 //      for ObjectsAt, per-container for ContentsAt (sidecar v3). Unknown
 //      keys answer empty without touching the cache.
 //   2. With a BlockCache attached, look up the key's stay entry: the fold
-//      of its *whole* posting list, which answers every epoch. The four
-//      object kinds share one entry per object; ContentsAt reads the
-//      container's entry and ObjectsAt the location's compact one of
-//      (object, start, end). A miss folds the whole list (step 3) and
-//      inserts the entry. Without a cache, cut the list to the candidate
+//      of its *whole* posting list, which answers every epoch, held as
+//      zigzag-delta varints (the encoding is spelled out in the .cc). The
+//      four object kinds share one entry per object; ContentsAt reads the
+//      container's entry and ObjectsAt the location's, of (object, start,
+//      end) stays. A hit answers from the entry's bytes inside the cache's
+//      visit, under its shard lock; a miss folds the whole list (step 3),
+//      inserts the entry and answers from the bytes it built. Without a
+//      cache, cut the list to the candidate
 //      blocks with min_epoch <= t for a point query at epoch t. Blocks past
 //      the cut hold only events whose primary timestamps exceed t: suffix
 //      Starts open after t, and suffix Ends only *extend* stays past t —
@@ -31,8 +34,8 @@
 //      exactly as compress/fold's FoldEvents does, through a per-build
 //      open-addressed index from (object, kind) to stay slot that holds
 //      only the open stays. Object entries keep the stays in stream order;
-//      location and container entries are sorted by end, so a query at a
-//      recent epoch reads only the stays still open after it.
+//      location and container entries hold them with ends descending, so a
+//      query at a recent epoch decodes only the stays still open after it.
 //
 // Filtered folds are exact because archived streams are well-formed
 // (compress/well_formed): an End names its Start's location/container, so
@@ -45,8 +48,8 @@
 //
 // Thread safety: all queries are const and safe to call concurrently from
 // many threads over one SegmentLog (ArchiveReader's decode paths are
-// concurrent-safe; the cache takes its lock; every build's fold lives in
-// the call, and entries are immutable once shared). Segments are immutable
+// concurrent-safe; the cache reads an entry only under its lock; every
+// build's fold and encoding live in the call). Segments are immutable
 // after Close and `compact` replaces rather than rewrites, so an open
 // SegmentLog is a stable snapshot: cache keys carry a per-open segment tag,
 // never aliasing entries across a replaced file.
@@ -110,27 +113,22 @@ class SegmentLog {
   std::uint64_t segment_tag() const { return segment_tag_; }
 
  private:
-  /// Entry payloads, defined in the .cc: an object's stays, and the
-  /// (object, start, end) stays of a location or container.
-  struct ObjectStay;
-  struct KeyStay;
-
   SegmentLog(ArchiveReader reader, std::shared_ptr<BlockCache> cache);
 
-  /// One decoded block, through the cache when attached.
-  Result<BlockCache::BlockPtr> FetchBlock(std::uint32_t index) const;
+  /// Calls `answer(std::span<const std::uint8_t>)` once on the key's stays
+  /// in the compact entry encoding (steps 2-3): its cache entry, under the
+  /// cache's lock; on a miss, the fold of the whole posting list, inserted
+  /// as the entry; without a cache, the fold of the posting blocks with
+  /// min_epoch <= cut. `Builder` folds one event.
+  template <typename Builder, typename Answer>
+  Status WithStays(BlockCache::KeyKind kind, std::uint64_t id,
+                   const std::vector<std::uint32_t>& postings, Epoch cut,
+                   Answer&& answer) const;
 
-  /// The key's folded stays (steps 2-3): its cache entry, built on a miss
-  /// from the whole posting list, or without a cache the fold of the
-  /// posting blocks with min_epoch <= cut. `Builder` folds one event.
-  template <typename Builder>
-  Result<BlockCache::StaysPtr<typename Builder::Stay>> StaysOf(
-      BlockCache::KeyKind kind, std::uint64_t id,
-      const std::vector<std::uint32_t>& postings, Epoch cut) const;
-
-  /// The object's entry, or null when the sidecar does not know it.
-  Result<BlockCache::StaysPtr<ObjectStay>> ObjectStays(ObjectId object,
-                                                       Epoch cut) const;
+  /// WithStays on the object's entry; no call when the sidecar does not
+  /// know the object.
+  template <typename Answer>
+  Status WithObjectStays(ObjectId object, Epoch cut, Answer&& answer) const;
 
   Status AppendContents(ObjectId container, Epoch epoch, bool transitive,
                         std::vector<ObjectId>* out,
